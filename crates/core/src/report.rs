@@ -143,11 +143,15 @@ impl TargetTiming {
         }
     }
 
-    /// Parallel speedup realised: summed job time over wall time.
-    pub fn speedup(&self) -> f64 {
-        let w = self.wall.as_secs_f64();
-        if w > 0.0 {
-            self.busy.as_secs_f64() / w
+    /// Parallel efficiency on a pool of `threads` job threads: summed
+    /// job time over the thread time the pool had, `busy / (wall ×
+    /// threads)`. 1.0 means every thread was busy for the whole wall
+    /// time; unlike busy over wall, it cannot exceed what the pool can
+    /// deliver.
+    pub fn parallel_efficiency(&self, threads: usize) -> f64 {
+        let capacity = self.wall.as_secs_f64() * threads.max(1) as f64;
+        if capacity > 0.0 {
+            self.busy.as_secs_f64() / capacity
         } else {
             1.0
         }
@@ -158,7 +162,7 @@ impl TargetTiming {
 pub fn timing_table(timings: &[TargetTiming], threads: usize) -> Table {
     let mut t = Table::new(
         format!("Run-engine timing ({threads} job thread(s))"),
-        ["Target", "Wall", "Jobs", "Busy", "Speedup", "Uops/s"]
+        ["Target", "Wall", "Jobs", "Busy", "Efficiency", "Uops/s"]
             .map(String::from)
             .to_vec(),
     );
@@ -178,7 +182,7 @@ pub fn timing_table(timings: &[TargetTiming], threads: usize) -> Table {
             fmt_d(x.wall),
             x.jobs.to_string(),
             fmt_d(x.busy),
-            format!("{:.1}x", x.speedup()),
+            format!("{:.0}%", 100.0 * x.parallel_efficiency(threads)),
             fmt_rate(x.uops_per_sec()),
         ]);
     }
@@ -194,7 +198,7 @@ pub fn timing_table(timings: &[TargetTiming], threads: usize) -> Table {
         fmt_d(total.wall),
         total.jobs.to_string(),
         fmt_d(total.busy),
-        format!("{:.1}x", total.speedup()),
+        format!("{:.0}%", 100.0 * total.parallel_efficiency(threads)),
         fmt_rate(total.uops_per_sec()),
     ]);
     t
@@ -260,6 +264,23 @@ mod tests {
         assert_eq!(size_label(1024), "1KB");
         assert_eq!(size_label(64 * 1024), "64KB");
         assert_eq!(size_label(2 * 1024 * 1024), "2MB");
+    }
+
+    #[test]
+    fn efficiency_is_busy_over_pool_thread_time() {
+        let x = TargetTiming {
+            target: "fig3".into(),
+            wall: Duration::from_secs(2),
+            jobs: 84,
+            busy: Duration::from_millis(7400),
+            uops: 0,
+        };
+        // 7.4 s busy in 2 s of wall on 4 threads: 92.5%, not "3.7x".
+        assert!((x.parallel_efficiency(4) - 0.925).abs() < 1e-12);
+        assert!((x.parallel_efficiency(1) - 3.7).abs() < 1e-12);
+        let table = timing_table(&[x], 4).render();
+        assert!(table.contains("Efficiency"), "{table}");
+        assert!(table.contains("92%") || table.contains("93%"), "{table}");
     }
 
     #[test]

@@ -36,10 +36,11 @@ use membw_core::service::{
 };
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Daemon tuning knobs (all have CLI flags on `repro serve`).
@@ -498,7 +499,7 @@ impl Server {
 /// One admitted connection's slot in the `conn_limit` budget, released
 /// by `Drop` — so *every* way a connection ends (EOF, oversized frame,
 /// read timeout, write failure, injected wire fault, handler panic
-/// unwinding the connection thread) gives the slot back. The previous
+/// unwinding out of the connection) gives the slot back. The previous
 /// explicit `fetch_sub` after `handle_connection` leaked the slot on
 /// any panicking path, wedging admission at `conn_limit` forever.
 struct ConnSlot {
@@ -524,6 +525,98 @@ impl Drop for ConnSlot {
     }
 }
 
+/// How long a connection worker waits for its next connection before
+/// it retires. Long enough that a steady request train (one connection
+/// per query) reuses the same few threads; short enough that a burst's
+/// extra workers do not linger.
+const WORKER_IDLE: Duration = Duration::from_secs(5);
+
+/// Accepted connections waiting for a worker, shared by the accept loop
+/// and the cached connection workers.
+#[derive(Default)]
+struct ConnQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// Accepted connections, each still holding its `conn_limit` slot.
+    pending: VecDeque<(Stream, ConnSlot)>,
+    /// Workers parked in [`ConnQueue::next`] waiting for a connection.
+    idle: usize,
+    /// Set when the accept loop ends: idle workers retire at once.
+    closed: bool,
+}
+
+impl ConnQueue {
+    /// Queue an accepted connection and wake one idle worker. Returns
+    /// whether the caller must spawn a worker: only when the queued
+    /// connections outnumber the idle workers that will pick them up.
+    fn push(&self, conn: (Stream, ConnSlot)) -> bool {
+        let mut st = self.state.lock().expect("conn queue");
+        st.pending.push_back(conn);
+        let spawn = st.pending.len() > st.idle;
+        drop(st);
+        self.ready.notify_one();
+        spawn
+    }
+
+    /// The next connection for a worker, or `None` once the worker has
+    /// been idle for [`WORKER_IDLE`] or the queue is closed (and empty).
+    fn next(&self) -> Option<(Stream, ConnSlot)> {
+        let deadline = Instant::now() + WORKER_IDLE;
+        let mut st = self.state.lock().expect("conn queue");
+        loop {
+            if let Some(conn) = st.pending.pop_front() {
+                return Some(conn);
+            }
+            let now = Instant::now();
+            if st.closed || now >= deadline {
+                return None;
+            }
+            st.idle += 1;
+            st = self
+                .ready
+                .wait_timeout(st, deadline - now)
+                .expect("conn queue")
+                .0;
+            st.idle -= 1;
+        }
+    }
+
+    /// Retire every idle worker (the accept loop has ended).
+    fn close(&self) {
+        self.state.lock().expect("conn queue").closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// A cached connection worker: serves queued connections one after
+/// another until it has idled for [`WORKER_IDLE`] or the queue closes.
+/// A panicking handler ends only its connection — the slot travels
+/// with the stream and is released by the unwind — never the worker.
+fn connection_worker(server: &Server, queue: &ConnQueue) {
+    while let Some((stream, slot)) = queue.next() {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = slot;
+            server.handle_connection(stream);
+        }));
+    }
+}
+
+fn spawn_worker(server: &Arc<Server>, queue: &Arc<ConnQueue>) {
+    let (srv, q) = (Arc::clone(server), Arc::clone(queue));
+    if let Err(e) = std::thread::Builder::new()
+        .name("serve-conn".to_string())
+        .spawn(move || connection_worker(&srv, &q))
+    {
+        // The connection stays queued; the next accept retries the
+        // spawn, and any worker that frees up picks it up meanwhile.
+        eprintln!("serve: cannot spawn a connection worker (continuing): {e}");
+    }
+}
+
 fn write_response(stream: &mut Stream, resp: &ServiceResponse) -> std::io::Result<()> {
     let mut line = serde_json::to_string(resp)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -534,9 +627,13 @@ fn write_response(stream: &mut Stream, resp: &ServiceResponse) -> std::io::Resul
 
 /// Run the accept loop until `cancel` fires, then drain: stop
 /// admission, cancel queued and in-flight jobs (their completed inner
-/// work is checkpointed), and wait for the pool to go idle. The caller
-/// unlinks the Unix socket file afterwards. Returns the number of
-/// connections served.
+/// work is checkpointed), wait for the pool to go idle, and retire the
+/// idle connection workers. The caller unlinks the Unix socket file
+/// afterwards. Returns the number of connections served.
+///
+/// Accepted connections go to cached connection workers: a new worker
+/// is spawned only when the queued connections outnumber the idle ones,
+/// and a worker retires after `WORKER_IDLE` (5 s) without work.
 ///
 /// # Errors
 ///
@@ -556,6 +653,7 @@ pub fn serve(
     // flowing (request trains, benchmark loops, bursts), and only doze
     // once the socket has stayed quiet.
     let mut last_activity = std::time::Instant::now();
+    let queue = Arc::new(ConnQueue::default());
     while !cancel.is_cancelled() {
         match listener.accept() {
             Ok(stream) => {
@@ -573,13 +671,11 @@ pub fn serve(
                     );
                     continue;
                 };
-                let srv = Arc::clone(server);
-                std::thread::spawn(move || {
-                    // The slot rides into the thread and is released by
-                    // Drop on every exit path, unwinds included.
-                    let _slot = slot;
-                    srv.handle_connection(stream);
-                });
+                // The slot rides with the stream to a worker and is
+                // released by Drop on every exit path, unwinds included.
+                if queue.push((stream, slot)) {
+                    spawn_worker(server, &queue);
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if last_activity.elapsed() < Duration::from_millis(2) {
@@ -599,5 +695,6 @@ pub fn serve(
     if !server.wait_idle(Duration::from_secs(30)) {
         eprintln!("serve: drain timed out with jobs still running");
     }
+    queue.close();
     Ok(served)
 }

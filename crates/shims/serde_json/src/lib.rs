@@ -70,6 +70,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// the parsed tree does not match `T`'s shape.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -86,6 +87,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -201,17 +203,27 @@ impl Parser<'_> {
         }
     }
 
+    /// Decode a string literal in one pass over its bytes: each run up
+    /// to the next `"` or `\` is copied with a single `push_str`. Both
+    /// delimiters are ASCII, so every run ends on a UTF-8 boundary of
+    /// the (already valid) input text.
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(Error::parse("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped on a backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -237,15 +249,6 @@ impl Parser<'_> {
                         _ => return Err(Error::parse(format!("bad escape at byte {}", self.pos))),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::parse("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -355,21 +358,34 @@ fn write_seq<I, T>(
     out.push(brackets.1);
 }
 
+/// Write `s` as a JSON string literal, copying each escape-free run
+/// with one `push_str`. Every escaped character is ASCII, so run
+/// boundaries are UTF-8 boundaries.
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -489,6 +505,126 @@ mod tests {
         }
         for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "nul", "1 2", "[1]]"] {
             assert!(from_str::<W>(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    impl Parser<'_> {
+        /// The string decoder before run copying: one scalar per step.
+        /// Kept as the oracle [`Parser::string`] must match exactly.
+        fn string_by_scalar(&mut self) -> Result<String, Error> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(Error::parse("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos + 1..self.pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| {
+                                        Error::parse(format!("bad \\u escape at byte {}", self.pos))
+                                    })?;
+                                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                                self.pos += 4;
+                            }
+                            _ => {
+                                return Err(Error::parse(format!(
+                                    "bad escape at byte {}",
+                                    self.pos
+                                )))
+                            }
+                        }
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        let c = self.text[self.pos..].chars().next().expect("non-empty");
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_decoder_matches_the_scalar_oracle_on_every_input() {
+        // Fragments that stress run boundaries: escapes of every kind
+        // (valid, truncated, bad hex, '+' hex, surrogates), multi-byte
+        // characters and raw control bytes.
+        const PIECES: &[&str] = &[
+            "a",
+            "\"",
+            "\\",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\b",
+            "\\f",
+            "\\q",
+            "\\u00e9",
+            "\\u20AC",
+            "\\ud83d",
+            "\\u+1ab",
+            "\\u12",
+            "\\uZZZZ",
+            "\\u",
+            "\\u00\u{e9}",
+            "é",
+            "€",
+            "😀",
+            "\u{0}",
+            "\n",
+            "\u{7f}",
+            " ",
+            "x\"y",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..next(12) {
+                text.push_str(PIECES[next(PIECES.len())]);
+            }
+            if next(4) > 0 {
+                text.push('"');
+            }
+            let parser = || Parser {
+                text: &text,
+                bytes: text.as_bytes(),
+                pos: 0,
+            };
+            let (mut fast, mut oracle) = (parser(), parser());
+            assert_eq!(
+                (fast.string().map_err(|e| e.to_string()), fast.pos),
+                (
+                    oracle.string_by_scalar().map_err(|e| e.to_string()),
+                    oracle.pos
+                ),
+                "{text:?}"
+            );
         }
     }
 }
