@@ -6,10 +6,14 @@
 //! ([`membw_analytic::ecm`]) needs — an instruction-mix summary, the
 //! register-dependency critical path, and one log₂-bucketed
 //! reuse-distance histogram per block granularity in
-//! [`SIGNATURE_BLOCK_SIZES`]. Computing it costs one replay of the
-//! recorded trace plus one Mattson stack pass per block size; after
+//! [`SIGNATURE_BLOCK_SIZES`]. Computing it reads the workload's uop
+//! stream once, straight from the generator and recording no arena,
+//! numbers each 4-B block with a dense id, then runs one exact
+//! stack-distance pass over those ids per block size (a live-slot
+//! bitmap with a Fenwick tree sized by distinct blocks;
+//! [`crate::reuse::ReuseProfile`] is the reference algorithm). After
 //! that, predictions for *any* cache/memsys configuration are pure
-//! histogram arithmetic and never touch the arena again.
+//! histogram arithmetic and never touch a trace again.
 //!
 //! Signatures persist through the PR 4 integrity layer: sealed with an
 //! FNV-1a 64 header, written tmp→fsync→rename, keyed by
@@ -18,10 +22,9 @@
 //! quarantined to a `.corrupt` generation and recomputed — a damaged
 //! signature can cost a recompute, never a wrong prediction.
 
-use crate::record::MemRef;
-use crate::reuse::ReuseProfile;
+use crate::fasthash::FastHashMap;
 use crate::uop::{OpClass, Uop, NUM_REGS};
-use crate::{TraceSink, VecWorkload, Workload};
+use crate::{TraceSink, Workload};
 use membw_analytic::ecm::{BlockReuse, KernelSignature, MIX_CLASSES};
 use membw_runner::persist;
 use serde::json::Value;
@@ -66,13 +69,16 @@ struct MixSink {
     /// outcome (the predictor-difficulty proxy the time model charges
     /// a mispredict penalty for).
     dir_flips: u64,
-    /// Last observed direction per branch PC.
-    last_dir: HashMap<u64, bool>,
+    /// Last observed direction per branch PC (trusted keys).
+    last_dir: FastHashMap<u64, bool>,
     class_counts: [u64; MIX_CLASSES.len()],
     /// Ready cycle of each logical register's latest value.
     reg_depth: [u64; NUM_REGS],
     crit_path: u64,
-    refs: Vec<MemRef>,
+    /// Each reference as the reuse kernel reads it: the 4-B block
+    /// number shifted up one bit, over the write bit.
+    refs: Vec<u64>,
+    request_bytes: u64,
 }
 
 impl MixSink {
@@ -83,11 +89,12 @@ impl MixSink {
             branches: 0,
             taken_branches: 0,
             dir_flips: 0,
-            last_dir: HashMap::new(),
+            last_dir: FastHashMap::default(),
             class_counts: [0; MIX_CLASSES.len()],
             reg_depth: [0; NUM_REGS],
             crit_path: 0,
             refs: Vec::new(),
+            request_bytes: 0,
         }
     }
 
@@ -123,7 +130,9 @@ impl TraceSink for MixSink {
             }
         }
         if let Some(r) = uop.mem {
-            self.refs.push(r);
+            let block = r.block(SIGNATURE_BLOCK_SIZES[0]);
+            self.refs.push(block << 1 | u64::from(r.kind.is_write()));
+            self.request_bytes += u64::from(r.size);
         }
         // Register-dependency critical path with unit memory: a uop is
         // ready when its sources are, and completes `latency` later.
@@ -142,48 +151,214 @@ impl TraceSink for MixSink {
     }
 }
 
-/// Bucket a [`ReuseProfile`] into the log₂ histogram the predictor
-/// consumes: bucket 0 holds distance 0, bucket `k ≥ 1` holds
-/// `[2^(k−1), 2^k)`.
-fn bucketize(profile: &ReuseProfile) -> Vec<u64> {
-    let mut buckets: Vec<u64> = Vec::new();
-    for (d, count) in profile.distances() {
-        let idx = if d == 0 { 0 } else { d.ilog2() as usize + 1 };
-        if buckets.len() <= idx {
-            buckets.resize(idx + 1, 0);
-        }
-        buckets[idx] += count;
-    }
-    buckets
+/// The reference stream over dense ids: each 4-B block (the finest
+/// signature granularity) gets a `u32` id in first-touch order, and
+/// each reference keeps only its id.
+struct DenseRefs {
+    /// id → 4-B block number.
+    blocks: Vec<u64>,
+    /// id → whether any write touched the block.
+    written: Vec<bool>,
+    /// The id of every reference, in trace order.
+    trace: Vec<u32>,
 }
 
-/// Compute the signature of `workload` from scratch (one uop replay +
-/// one stack pass per block granularity).
+impl DenseRefs {
+    /// Number the blocks of `refs` (as [`MixSink`] packs them) in one
+    /// hash pass; trace addresses are trusted keys.
+    fn new(refs: &[u64]) -> Self {
+        let mut id_of: FastHashMap<u64, u32> = FastHashMap::default();
+        let mut dense = DenseRefs {
+            blocks: Vec::new(),
+            written: Vec::new(),
+            trace: Vec::with_capacity(refs.len()),
+        };
+        for &r in refs {
+            let block = r >> 1;
+            let fresh = u32::try_from(dense.blocks.len()).expect("distinct 4-B blocks fit in u32");
+            let id = *id_of.entry(block).or_insert(fresh);
+            if id == fresh {
+                dense.blocks.push(block);
+                dense.written.push(false);
+            }
+            dense.written[id as usize] |= r & 1 == 1;
+            dense.trace.push(id);
+        }
+        dense
+    }
+
+    /// Reuse statistics at every block size in
+    /// [`SIGNATURE_BLOCK_SIZES`]. The 4-B blocks are sorted by address
+    /// once; a coarser level's id is then the rank of `block >> shift`
+    /// in that order, so no level needs a hash lookup.
+    fn reuse(&self) -> Vec<BlockReuse> {
+        let mut order: Vec<u32> = (0..self.blocks.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| self.blocks[id as usize]);
+        let finest = SIGNATURE_BLOCK_SIZES[0].trailing_zeros();
+        let mut level_of = vec![0u32; self.blocks.len()];
+        SIGNATURE_BLOCK_SIZES
+            .iter()
+            .map(|&block| {
+                let shift = block.trailing_zeros() - finest;
+                let mut distinct = 0u32;
+                let mut prev = None;
+                for &id in &order {
+                    let coarse = self.blocks[id as usize] >> shift;
+                    if prev != Some(coarse) {
+                        prev = Some(coarse);
+                        distinct += 1;
+                    }
+                    level_of[id as usize] = distinct - 1;
+                }
+                let mut dirty = vec![false; distinct as usize];
+                let mut dirty_blocks = 0u64;
+                for (id, _) in self.written.iter().enumerate().filter(|(_, &w)| w) {
+                    let flag = &mut dirty[level_of[id] as usize];
+                    dirty_blocks += u64::from(!*flag);
+                    *flag = true;
+                }
+                let mut stack = StackDistance::new(distinct as usize);
+                let mut buckets = [0u64; 65];
+                for &id in &self.trace {
+                    if let Some(d) = stack.access(level_of[id as usize]) {
+                        buckets[(u64::BITS - d.leading_zeros()) as usize] += 1;
+                    }
+                }
+                let used = buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+                BlockReuse {
+                    block_size: block,
+                    accesses: self.trace.len() as u64,
+                    cold: u64::from(distinct),
+                    dirty_blocks,
+                    buckets: buckets[..used].to_vec(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Exact LRU stack distances over dense block ids.
+///
+/// Each block's latest access owns one *slot*; slots are handed out in
+/// access order, so the distance of a reuse is the number of live slots
+/// after the block's previous one. Live slots are bits in a bitmap with
+/// a Fenwick tree over its 64-slot words' popcounts. When slots run out
+/// the live ones are renumbered densely (order kept) and the tree is
+/// rebuilt; with twice as many slots as blocks, that costs O(1)
+/// amortized per access and sizes everything by distinct blocks rather
+/// than by trace length.
+struct StackDistance {
+    /// id → its latest slot (`u32::MAX` before the first access).
+    slot_of: Vec<u32>,
+    /// slot → the id that owns it (meaningful for live slots only).
+    owner: Vec<u32>,
+    bits: Vec<u64>,
+    /// 1-based Fenwick tree over the words of `bits`.
+    tree: Vec<u32>,
+    live: u64,
+    next: usize,
+}
+
+impl StackDistance {
+    fn new(blocks: usize) -> Self {
+        let words = (2 * blocks).div_ceil(64).max(1);
+        StackDistance {
+            slot_of: vec![u32::MAX; blocks],
+            owner: vec![0; words * 64],
+            bits: vec![0; words],
+            tree: vec![0; words + 1],
+            live: 0,
+            next: 0,
+        }
+    }
+
+    /// Record an access to `id`: its stack distance, or `None` for a
+    /// first touch.
+    fn access(&mut self, id: u32) -> Option<u64> {
+        let prev = self.slot_of[id as usize];
+        let distance = if prev == u32::MAX {
+            self.live += 1;
+            None
+        } else {
+            let prev = prev as usize;
+            if prev + 1 == self.next {
+                // Already the most recent slot: distance 0, nothing moves.
+                return Some(0);
+            }
+            let d = self.live - self.live_through(prev);
+            self.bits[prev / 64] &= !(1 << (prev % 64));
+            self.tree_add(prev / 64, u32::MAX);
+            Some(d)
+        };
+        if self.next == self.owner.len() {
+            self.compact();
+        }
+        let slot = self.next;
+        self.next += 1;
+        self.slot_of[id as usize] = slot as u32;
+        self.owner[slot] = id;
+        self.bits[slot / 64] |= 1 << (slot % 64);
+        self.tree_add(slot / 64, 1);
+        distance
+    }
+
+    /// Live slots at positions `0..=slot`.
+    fn live_through(&self, slot: usize) -> u64 {
+        let word = slot / 64;
+        let mut sum = u64::from((self.bits[word] & (u64::MAX >> (63 - slot % 64))).count_ones());
+        let mut i = word;
+        while i > 0 {
+            sum += u64::from(self.tree[i]);
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// Add `delta` (wrapping, so `u32::MAX` is −1) to word `word`.
+    fn tree_add(&mut self, word: usize, delta: u32) {
+        let mut i = word + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Renumber the live slots `0..live` in order and rebuild the tree.
+    fn compact(&mut self) {
+        let mut next = 0;
+        for word in 0..self.bits.len() {
+            let mut bits = self.bits[word];
+            while bits != 0 {
+                let id = self.owner[word * 64 + bits.trailing_zeros() as usize];
+                self.owner[next] = id;
+                self.slot_of[id as usize] = next as u32;
+                next += 1;
+                bits &= bits - 1;
+            }
+        }
+        self.next = next;
+        self.bits.fill(0);
+        for slot in (0..next).step_by(64) {
+            self.bits[slot / 64] = u64::MAX >> (64 - (next - slot).min(64));
+        }
+        for i in 1..self.tree.len() {
+            self.tree[i] = self.bits[i - 1].count_ones();
+        }
+        for i in 1..self.tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.tree.len() {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+    }
+}
+
+/// Compute the signature of `workload` from scratch: one pass over the
+/// generated uop stream, then one stack-distance pass per block size.
 pub fn compute_signature(name: &str, variant: &str, workload: &dyn Workload) -> TraceSignature {
     let mut mix = MixSink::new();
     workload.generate(&mut mix);
-
-    let request_bytes: u64 = mix.refs.iter().map(|r| u64::from(r.size)).sum();
-    let stores = mix.class_counts[MixSink::class_index(OpClass::Store)];
-    let replay = VecWorkload::new(name, std::mem::take(&mut mix.refs));
-
-    let mut reuse = Vec::with_capacity(SIGNATURE_BLOCK_SIZES.len());
-    for &block in &SIGNATURE_BLOCK_SIZES {
-        let profile = ReuseProfile::measure(&replay, block);
-        let mut dirty = std::collections::HashSet::new();
-        for r in replay.refs() {
-            if r.kind.is_write() {
-                dirty.insert(r.block(block));
-            }
-        }
-        reuse.push(BlockReuse {
-            block_size: block,
-            accesses: profile.total(),
-            cold: profile.cold_misses(),
-            dirty_blocks: dirty.len() as u64,
-            buckets: bucketize(&profile),
-        });
-    }
+    let dense = DenseRefs::new(&std::mem::take(&mut mix.refs));
 
     TraceSignature {
         version: SIGNATURE_VERSION,
@@ -191,16 +366,16 @@ pub fn compute_signature(name: &str, variant: &str, workload: &dyn Workload) -> 
         variant: variant.to_string(),
         kernel: KernelSignature {
             uops: mix.uops,
-            mem_refs: replay.refs().len() as u64,
-            stores,
-            request_bytes,
+            mem_refs: dense.trace.len() as u64,
+            stores: mix.class_counts[MixSink::class_index(OpClass::Store)],
+            request_bytes: mix.request_bytes,
             op_cycles: mix.op_cycles,
             crit_path: mix.crit_path,
             branches: mix.branches,
             taken_branches: mix.taken_branches,
             dir_flips: mix.dir_flips,
             class_counts: mix.class_counts.to_vec(),
-            reuse,
+            reuse: dense.reuse(),
         },
     }
 }
@@ -289,10 +464,16 @@ impl SignatureStore {
     }
 }
 
+/// One key's signature, filled once by whichever caller gets there first.
+type SignatureSlot = Arc<OnceLock<Arc<TraceSignature>>>;
+
 /// Process-wide signature cache: memory → sealed store → compute, with
 /// each signature computed at most once per process.
 pub struct SignatureCache {
-    entries: Mutex<HashMap<(String, String), Arc<TraceSignature>>>,
+    /// One slot per key. The map lock is held only to find or insert a
+    /// slot; loading or computing runs inside the slot's `OnceLock`, so
+    /// same-key callers share one compute while other keys proceed.
+    entries: Mutex<HashMap<(String, String), SignatureSlot>>,
     store: Option<SignatureStore>,
 }
 
@@ -331,38 +512,38 @@ impl SignatureCache {
     /// The signature for `(name, variant)`: from memory, else the
     /// sealed store, else computed from `workload` (and persisted).
     ///
-    /// The cache lock is held across a compute so concurrent callers
-    /// of the same key never duplicate the stack passes; computes are
-    /// bounded (one per (benchmark, scale) per process lifetime).
+    /// Concurrent callers of one key wait for a single load or
+    /// compute; a compute never blocks callers of other keys. A
+    /// compute that panics leaves the slot empty for the next caller.
     pub fn get_or_compute(
         &self,
         name: &str,
         variant: &str,
         workload: &dyn Workload,
     ) -> Arc<TraceSignature> {
-        let key = (name.to_string(), variant.to_string());
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(sig) = entries.get(&key) {
-            return Arc::clone(sig);
-        }
-        if let Some(store) = &self.store {
-            if let Some(sig) = store.load(name, variant) {
-                let sig = Arc::new(sig);
-                entries.insert(key, Arc::clone(&sig));
-                return sig;
+        let slot = {
+            let mut entries = self
+                .entries
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            Arc::clone(
+                entries
+                    .entry((name.to_string(), variant.to_string()))
+                    .or_default(),
+            )
+        };
+        Arc::clone(slot.get_or_init(|| {
+            if let Some(sig) = self.store.as_ref().and_then(|s| s.load(name, variant)) {
+                return Arc::new(sig);
             }
-        }
-        let sig = Arc::new(compute_signature(name, variant, workload));
-        if let Some(store) = &self.store {
-            if let Err(e) = store.save(&sig) {
-                eprintln!("signature: persisting {name}/{variant} failed: {e:?}");
+            let sig = compute_signature(name, variant, workload);
+            if let Some(store) = &self.store {
+                if let Err(e) = store.save(&sig) {
+                    eprintln!("signature: persisting {name}/{variant} failed: {e:?}");
+                }
             }
-        }
-        entries.insert(key, Arc::clone(&sig));
-        sig
+            Arc::new(sig)
+        }))
     }
 }
 
@@ -370,6 +551,9 @@ impl SignatureCache {
 mod tests {
     use super::*;
     use crate::pattern::Strided;
+    use crate::record::MemRef;
+    use crate::reuse::ReuseProfile;
+    use crate::VecWorkload;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("membw_sig_{tag}_{}", std::process::id()));

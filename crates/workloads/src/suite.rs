@@ -97,10 +97,11 @@ impl Benchmark {
 
     /// This benchmark's trace signature, via the process-wide
     /// [`SignatureCache`]: loaded from the sealed store when present,
-    /// computed once from the recorded trace otherwise. The analytic
-    /// fast path reads only this — never the trace arena.
+    /// computed once otherwise by streaming the generator — a miss
+    /// records no arena into the [`TraceCache`], and a hit does no
+    /// trace work at all. The analytic fast path reads only this.
     pub fn signature(&self) -> Arc<membw_trace::TraceSignature> {
-        SignatureCache::global().get_or_compute(self.name, self.variant(), &self.replayable())
+        SignatureCache::global().get_or_compute(self.name, self.variant(), self.workload())
     }
 }
 
