@@ -1,9 +1,9 @@
 //! Single-level functional cache with traffic accounting.
 
-use crate::config::{CacheConfig, WriteAllocate, WritePolicy};
-use crate::replacement::{PlruBits, VictimPicker};
+use crate::config::{BlockSplit, CacheConfig, ReplacementPolicy, WriteAllocate, WritePolicy};
+use crate::replacement::{LineAge, PlruBits, VictimPicker};
 use crate::stats::CacheStats;
-use membw_trace::{AccessKind, MemRef};
+use membw_trace::{AccessKind, FastHashMap, MemRef};
 
 /// What a below-cache transfer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,11 +128,162 @@ struct Line {
     filled_at: u64,
 }
 
+impl LineAge for Line {
+    fn last_touch(&self) -> u64 {
+        self.last_touch
+    }
+
+    fn filled_at(&self) -> u64 {
+        self.filled_at
+    }
+}
+
+/// Sets up to this many ways find lines and victims by a linear scan;
+/// wider sets use [`WideSets`].
+const SCAN_WAYS: usize = 16;
+
+/// "No line" in an [`OrderList`].
+const NIL: u32 = u32::MAX;
+
+/// Intrusive per-set line lists, newest first: recency order under LRU
+/// (a touch moves its line to the front), fill order under FIFO.
+#[derive(Debug)]
+struct OrderList {
+    /// Per line: the next-newer and next-older line of its set.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Per set: the newest (MRU) and oldest (LRU) line.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    move_on_touch: bool,
+}
+
+impl OrderList {
+    fn new(lines: usize, sets: usize, move_on_touch: bool) -> Self {
+        Self {
+            prev: vec![NIL; lines],
+            next: vec![NIL; lines],
+            head: vec![NIL; sets],
+            tail: vec![NIL; sets],
+            move_on_touch,
+        }
+    }
+
+    fn push_front(&mut self, set: usize, i: u32) {
+        let h = self.head[set];
+        self.prev[i as usize] = NIL;
+        self.next[i as usize] = h;
+        if h == NIL {
+            self.tail[set] = i;
+        } else {
+            self.prev[h as usize] = i;
+        }
+        self.head[set] = i;
+    }
+
+    fn unlink(&mut self, set: usize, i: u32) {
+        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+        if p == NIL {
+            self.head[set] = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n == NIL {
+            self.tail[set] = p;
+        } else {
+            self.prev[n as usize] = p;
+        }
+    }
+}
+
+/// O(1) lookup and victim state for sets wider than [`SCAN_WAYS`].
+///
+/// Every change of a line's validity goes through [`Cache::fill`] and
+/// [`Cache::invalidate`], which keep this in step with `lines`.
+#[derive(Debug)]
+struct WideSets {
+    /// Block number → line index of every valid line.
+    index: FastHashMap<u64, u32>,
+    /// Valid lines per set. A set fills its ways in order and empties
+    /// only as a whole (flush, drain), so its valid lines are ways
+    /// `0..valid[set]` and the first invalid way is `valid[set]`.
+    valid: Vec<u32>,
+    /// Eviction order for LRU (and PLRU's LRU fallback) and FIFO;
+    /// `None` for policies that pick by way number.
+    order: Option<OrderList>,
+}
+
+impl WideSets {
+    fn new(lines: usize, sets: usize, policy: ReplacementPolicy, ways: usize) -> Self {
+        assert!(
+            lines < NIL as usize,
+            "{lines} lines overflow u32 line indices"
+        );
+        let mut index = FastHashMap::default();
+        // Room for twice the lines keeps the table at most half full, so
+        // clearing removal tombstones rehashes in place and never grows:
+        // no allocation after construction.
+        index.reserve(2 * lines);
+        let move_on_touch = match policy {
+            ReplacementPolicy::Lru => Some(true),
+            ReplacementPolicy::Plru if !PlruBits::covers(ways) => Some(true),
+            ReplacementPolicy::Fifo => Some(false),
+            ReplacementPolicy::Plru | ReplacementPolicy::Random(_) => None,
+        };
+        Self {
+            index,
+            valid: vec![0; sets],
+            order: move_on_touch.map(|m| OrderList::new(lines, sets, m)),
+        }
+    }
+
+    fn insert(&mut self, set: usize, idx: usize, block: u64) {
+        self.index.insert(block, idx as u32);
+        self.valid[set] += 1;
+        if let Some(o) = &mut self.order {
+            o.push_front(set, idx as u32);
+        }
+    }
+
+    fn remove(&mut self, set: usize, idx: usize, block: u64) {
+        self.index.remove(&block);
+        self.valid[set] -= 1;
+        if let Some(o) = &mut self.order {
+            o.unlink(set, idx as u32);
+        }
+    }
+
+    fn touch(&mut self, set: usize, idx: usize) {
+        if let Some(o) = &mut self.order {
+            if o.move_on_touch && o.head[set] != idx as u32 {
+                o.unlink(set, idx as u32);
+                o.push_front(set, idx as u32);
+            }
+        }
+    }
+
+    /// The first invalid way of `set`, if any.
+    fn first_invalid(&self, set: usize, ways: usize) -> Option<usize> {
+        let n = self.valid[set] as usize;
+        (n < ways).then_some(n)
+    }
+
+    /// The oldest line of `set`, if the policy keeps an order.
+    fn oldest(&self, set: usize) -> Option<usize> {
+        self.order.as_ref().map(|o| o.tail[set] as usize)
+    }
+}
+
 /// A single-level, functional (untimed) cache.
 ///
 /// See the [crate docs](crate) for the traffic-accounting rules. Accesses
 /// that straddle block boundaries are split QPT-style into per-block
 /// sub-accesses, each counted separately.
+///
+/// An access costs the same at any associativity: set and tag come from
+/// shifts and masks fixed at construction, and sets wider than 16 ways
+/// find lines through a block-number index and take LRU/FIFO victims
+/// from an intrusive order list instead of scanning the set.
 ///
 /// # Example
 ///
@@ -149,9 +300,18 @@ struct Line {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    split: BlockSplit,
+    /// `log2(num_sets)`: a block number's set is its low `set_bits`
+    /// bits, its tag the rest.
+    set_bits: u32,
+    set_mask: u64,
+    ways: usize,
     lines: Vec<Line>, // num_sets * ways, set-major
     plru: Vec<PlruBits>,
+    /// Tree PLRU is the policy and one [`PlruBits`] covers a set.
+    tree_plru: bool,
     picker: VictimPicker,
+    wide: Option<WideSets>,
     clock: u64,
     stats: CacheStats,
     full_mask: u64,
@@ -160,18 +320,27 @@ pub struct Cache {
 impl Cache {
     /// Build an empty cache for `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
-        let blocks = (cfg.num_sets() * cfg.ways()) as usize;
+        let blocks = cfg.num_blocks() as usize;
+        let sets = cfg.num_sets() as usize;
+        let ways = cfg.ways() as usize;
         let wpb = cfg.words_per_block();
         let full_mask = if wpb >= 64 {
             u64::MAX
         } else {
             (1u64 << wpb) - 1
         };
+        let policy = cfg.replacement();
         Self {
             cfg,
+            split: BlockSplit::new(cfg.block_size()),
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            ways,
             lines: vec![Line::default(); blocks],
-            plru: vec![PlruBits::default(); cfg.num_sets() as usize],
-            picker: VictimPicker::new(cfg.replacement()),
+            plru: vec![PlruBits::default(); sets],
+            tree_plru: policy == ReplacementPolicy::Plru && PlruBits::covers(ways),
+            picker: VictimPicker::new(policy),
+            wide: (ways > SCAN_WAYS).then(|| WideSets::new(blocks, sets, policy, ways)),
             clock: 0,
             stats: CacheStats::default(),
             full_mask,
@@ -190,61 +359,80 @@ impl Cache {
 
     /// `true` if the block containing `addr` is resident (any validity).
     pub fn is_resident(&self, addr: u64) -> bool {
-        let set = self.cfg.set_of(addr);
-        let tag = self.cfg.tag_of(addr);
-        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
+        let (block, set, tag) = self.locate(addr);
+        self.find(set, tag, block).is_some()
     }
 
-    fn set_lines(&self, set: u64) -> &[Line] {
-        let ways = self.cfg.ways() as usize;
-        let base = set as usize * ways;
-        &self.lines[base..base + ways]
+    /// Block number, set and tag of `addr`.
+    fn locate(&self, addr: u64) -> (u64, usize, u64) {
+        let block = self.split.block_of(addr);
+        (
+            block,
+            (block & self.set_mask) as usize,
+            block >> self.set_bits,
+        )
     }
 
-    fn line_index(&self, set: u64, way: usize) -> usize {
-        set as usize * self.cfg.ways() as usize + way
+    /// Block number of the block tagged `tag` in `set`.
+    fn block_at(&self, set: usize, tag: u64) -> u64 {
+        (tag << self.set_bits) | set as u64
     }
 
-    fn find(&self, set: u64, tag: u64) -> Option<usize> {
-        self.set_lines(set)
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
+    /// Byte address of the block tagged `tag` in `set`.
+    fn addr_of(&self, set: usize, tag: u64) -> u64 {
+        self.split.addr_of(self.block_at(set, tag))
     }
 
-    fn touch(&mut self, set: u64, way: usize) {
+    /// Line index of the resident block (`set`, `tag`), numbered `block`.
+    fn find(&self, set: usize, tag: u64, block: u64) -> Option<usize> {
+        match &self.wide {
+            Some(w) => w.index.get(&block).map(|&i| i as usize),
+            None => {
+                let base = set * self.ways;
+                self.lines[base..base + self.ways]
+                    .iter()
+                    .position(|l| l.valid && l.tag == tag)
+                    .map(|way| base + way)
+            }
+        }
+    }
+
+    fn touch(&mut self, set: usize, idx: usize) {
         self.clock += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways() as usize;
-        let idx = self.line_index(set, way);
-        self.lines[idx].last_touch = clock;
-        if ways.is_power_of_two() && ways <= 64 {
-            self.plru[set as usize].touch(way, ways);
+        self.lines[idx].last_touch = self.clock;
+        if self.tree_plru {
+            self.plru[set].touch(idx - set * self.ways, self.ways);
+        }
+        if let Some(w) = &mut self.wide {
+            w.touch(set, idx);
         }
     }
 
-    /// Pick a victim way in `set`, preferring invalid lines.
-    fn pick_victim(&mut self, set: u64) -> usize {
-        if let Some(w) = self.set_lines(set).iter().position(|l| !l.valid) {
-            return w;
+    /// Pick a victim line in `set`, preferring invalid lines.
+    fn pick_victim(&mut self, set: usize) -> usize {
+        let base = set * self.ways;
+        let lines = &self.lines[base..base + self.ways];
+        let (free, oldest) = match &self.wide {
+            Some(w) => (w.first_invalid(set, self.ways), w.oldest(set)),
+            None => (lines.iter().position(|l| !l.valid), None),
+        };
+        if let Some(way) = free {
+            debug_assert!(!lines[way].valid, "first invalid way is valid");
+            return base + way;
         }
-        let meta: Vec<(u64, u64)> = self
-            .set_lines(set)
-            .iter()
-            .map(|l| (l.last_touch, l.filled_at))
-            .collect();
-        self.picker.pick(&meta, &self.plru[set as usize])
+        oldest.unwrap_or_else(|| base + self.picker.pick(lines, &self.plru[set]))
     }
 
-    /// Evict `way` of `set` if valid, emitting a write-back when dirty.
-    fn evict<O: PushBelow>(&mut self, set: u64, way: usize, out: &mut O, flush: bool) {
-        let idx = self.line_index(set, way);
+    /// Evict line `idx` of `set` if valid, emitting a write-back when
+    /// dirty.
+    fn evict<O: PushBelow>(&mut self, set: usize, idx: usize, out: &mut O, flush: bool) {
         let line = self.lines[idx];
         if !line.valid {
             return;
         }
         let dirty = line.dirty_mask & line.valid_mask;
         if dirty != 0 {
-            let addr = self.cfg.addr_of(set, line.tag);
+            let addr = self.addr_of(set, line.tag);
             let bytes = match self.cfg.write_allocate() {
                 // Word-granular memory writes under write-validate.
                 WriteAllocate::Validate => u64::from(dirty.count_ones()) * 4,
@@ -262,14 +450,24 @@ impl Cache {
                 self.stats.bytes_written_back += bytes;
             }
         }
+        self.invalidate(set, idx);
+    }
+
+    /// Empty valid line `idx` of `set` without counting traffic.
+    fn invalidate(&mut self, set: usize, idx: usize) {
+        let block = self.block_at(set, self.lines[idx].tag);
+        if let Some(w) = &mut self.wide {
+            w.remove(set, idx, block);
+        }
         self.lines[idx] = Line::default();
     }
 
-    /// Fill `way` of `set` with `tag`; the caller sets masks afterwards.
-    fn fill(&mut self, set: u64, way: usize, tag: u64, referenced: bool) {
+    /// Fill invalid line `idx` of `set` with `block` (tagged `tag`); the
+    /// caller sets masks afterwards.
+    fn fill(&mut self, set: usize, idx: usize, tag: u64, block: u64, referenced: bool) {
+        debug_assert!(!self.lines[idx].valid, "fill over a valid line");
         self.clock += 1;
         let clock = self.clock;
-        let idx = self.line_index(set, way);
         self.lines[idx] = Line {
             valid: true,
             tag,
@@ -279,9 +477,11 @@ impl Cache {
             last_touch: clock,
             filled_at: clock,
         };
-        let ways = self.cfg.ways() as usize;
-        if ways.is_power_of_two() && ways <= 64 {
-            self.plru[set as usize].touch(way, ways);
+        if self.tree_plru {
+            self.plru[set].touch(idx - set * self.ways, self.ways);
+        }
+        if let Some(w) = &mut self.wide {
+            w.insert(set, idx, block);
         }
     }
 
@@ -290,21 +490,19 @@ impl Cache {
     ///
     /// [`VictimCache`]: crate::VictimCache
     pub(crate) fn probe_touch(&mut self, r: MemRef) -> bool {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let (block, set, tag) = self.locate(r.addr);
         let need = self.word_mask(r);
-        if let Some(way) = self.find(set, tag) {
-            let idx = self.line_index(set, way);
+        if let Some(idx) = self.find(set, tag, block) {
             if r.kind.is_write() {
                 self.lines[idx].valid_mask |= need;
                 self.lines[idx].dirty_mask |= need;
                 self.lines[idx].referenced = true;
-                self.touch(set, way);
+                self.touch(set, idx);
                 return true;
             }
             if self.lines[idx].valid_mask & need == need {
                 self.lines[idx].referenced = true;
-                self.touch(set, way);
+                self.touch(set, idx);
                 return true;
             }
         }
@@ -321,22 +519,18 @@ impl Cache {
         valid_mask: u64,
         dirty_mask: u64,
     ) -> Option<(u64, u64)> {
-        let set = self.cfg.set_of(block_addr);
-        let tag = self.cfg.tag_of(block_addr);
-        debug_assert!(self.find(set, tag).is_none(), "block already resident");
-        let way = self.pick_victim(set);
-        let idx = self.line_index(set, way);
+        let (block, set, tag) = self.locate(block_addr);
+        debug_assert!(
+            self.find(set, tag, block).is_none(),
+            "block already resident"
+        );
+        let idx = self.pick_victim(set);
         let old = self.lines[idx];
-        let displaced = if old.valid {
-            Some((
-                self.cfg.addr_of(set, old.tag),
-                old.dirty_mask & old.valid_mask,
-            ))
-        } else {
-            None
-        };
-        self.fill(set, way, tag, true);
-        let idx = self.line_index(set, way);
+        let displaced = old.valid.then(|| {
+            self.invalidate(set, idx);
+            (self.addr_of(set, old.tag), old.dirty_mask & old.valid_mask)
+        });
+        self.fill(set, idx, tag, block, true);
         self.lines[idx].valid_mask = valid_mask;
         self.lines[idx].dirty_mask = dirty_mask;
         displaced
@@ -347,17 +541,15 @@ impl Cache {
     /// [`VictimCache`](crate::VictimCache) at flush time.
     pub(crate) fn drain_lines(&mut self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        for set in 0..self.cfg.num_sets() {
-            for way in 0..self.cfg.ways() as usize {
-                let idx = self.line_index(set, way);
-                let line = self.lines[idx];
-                if line.valid {
-                    out.push((
-                        self.cfg.addr_of(set, line.tag),
-                        line.dirty_mask & line.valid_mask,
-                    ));
-                    self.lines[idx] = Line::default();
-                }
+        for idx in 0..self.lines.len() {
+            let line = self.lines[idx];
+            if line.valid {
+                let set = idx / self.ways;
+                out.push((
+                    self.addr_of(set, line.tag),
+                    line.dirty_mask & line.valid_mask,
+                ));
+                self.invalidate(set, idx);
             }
         }
         out
@@ -365,10 +557,9 @@ impl Cache {
 
     /// Word-mask (within a block) covered by `r`.
     pub(crate) fn word_mask(&self, r: MemRef) -> u64 {
-        let block = self.cfg.block_size();
-        let off = r.addr % block;
-        let first = off / 4;
-        let last = (off + u64::from(r.size).max(1) - 1) / 4;
+        let off = self.split.offset(r.addr);
+        let first = off >> 2;
+        let last = (off + u64::from(r.size).max(1) - 1) >> 2;
         let count = last - first + 1;
         let ones = if count >= 64 {
             u64::MAX
@@ -381,15 +572,13 @@ impl Cache {
     /// Issue a tagged prefetch of the block after `block_addr`.
     fn prefetch_next<O: PushBelow>(&mut self, block_addr: u64, out: &mut O) {
         let next = block_addr + self.cfg.block_size();
-        let set = self.cfg.set_of(next);
-        let tag = self.cfg.tag_of(next);
-        if self.find(set, tag).is_some() {
+        let (block, set, tag) = self.locate(next);
+        if self.find(set, tag, block).is_some() {
             return;
         }
-        let way = self.pick_victim(set);
-        self.evict(set, way, out, false);
-        self.fill(set, way, tag, false);
-        let idx = self.line_index(set, way);
+        let idx = self.pick_victim(set);
+        self.evict(set, idx, out, false);
+        self.fill(set, idx, tag, block, false);
         self.lines[idx].valid_mask = self.full_mask;
         out.push_below(BelowRequest {
             addr: next,
@@ -405,37 +594,25 @@ impl Cache {
     /// Returns the combined outcome (`hit` is true only if *all* pieces
     /// hit).
     pub fn access(&mut self, r: MemRef) -> AccessOutcome {
-        if r.fits_in_block(self.cfg.block_size()) {
+        if self.split.fits(r) {
             return self.access_within_block(r);
         }
-        // Split QPT-style into per-block pieces.
-        let block = self.cfg.block_size();
         let mut outcome = AccessOutcome {
             hit: true,
             ..AccessOutcome::default()
         };
-        let mut addr = r.addr;
-        let end = r.addr + u64::from(r.size);
-        while addr < end {
-            let block_end = (addr / block + 1) * block;
-            let piece = (block_end.min(end) - addr) as u16;
-            let sub = MemRef {
-                addr,
-                size: piece,
-                kind: r.kind,
-            };
-            let o = self.access_within_block(sub);
+        for piece in self.split.pieces(r) {
+            let o = self.access_within_block(piece);
             outcome.hit &= o.hit;
             for &req in o.below() {
                 outcome.push_below(req);
             }
-            addr += u64::from(piece);
         }
         outcome
     }
 
     fn access_within_block(&mut self, r: MemRef) -> AccessOutcome {
-        debug_assert!(r.fits_in_block(self.cfg.block_size()));
+        debug_assert!(self.split.fits(r));
         self.stats.accesses += 1;
         self.stats.request_bytes += u64::from(r.size);
         match r.kind {
@@ -451,18 +628,16 @@ impl Cache {
     }
 
     fn read(&mut self, r: MemRef) -> AccessOutcome {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let (block, set, tag) = self.locate(r.addr);
         let need = self.word_mask(r);
-        let block_addr = r.addr & !(self.cfg.block_size() - 1);
+        let block_addr = self.split.addr_of(block);
         let mut out = AccessOutcome::default();
 
-        if let Some(way) = self.find(set, tag) {
-            let idx = self.line_index(set, way);
+        if let Some(idx) = self.find(set, tag, block) {
             if self.lines[idx].valid_mask & need == need {
                 // Full hit.
                 self.stats.read_hits += 1;
-                self.touch(set, way);
+                self.touch(set, idx);
                 let first_use = !self.lines[idx].referenced;
                 self.lines[idx].referenced = true;
                 if self.cfg.tagged_prefetch() && first_use {
@@ -484,7 +659,7 @@ impl Cache {
             self.stats.bytes_fetched += bytes;
             self.lines[idx].valid_mask = self.full_mask;
             self.lines[idx].referenced = true;
-            self.touch(set, way);
+            self.touch(set, idx);
             if self.cfg.tagged_prefetch() {
                 self.prefetch_next(block_addr, &mut out);
             }
@@ -493,10 +668,9 @@ impl Cache {
 
         // Full miss: evict, fetch, fill.
         self.stats.read_misses += 1;
-        let way = self.pick_victim(set);
-        self.evict(set, way, &mut out, false);
-        self.fill(set, way, tag, true);
-        let idx = self.line_index(set, way);
+        let idx = self.pick_victim(set);
+        self.evict(set, idx, &mut out, false);
+        self.fill(set, idx, tag, block, true);
         self.lines[idx].valid_mask = self.full_mask;
         out.push_below(BelowRequest {
             addr: block_addr,
@@ -511,16 +685,14 @@ impl Cache {
     }
 
     fn write(&mut self, r: MemRef) -> AccessOutcome {
-        let set = self.cfg.set_of(r.addr);
-        let tag = self.cfg.tag_of(r.addr);
+        let (block, set, tag) = self.locate(r.addr);
         let need = self.word_mask(r);
-        let block_addr = r.addr & !(self.cfg.block_size() - 1);
+        let block_addr = self.split.addr_of(block);
         let mut out = AccessOutcome::default();
 
-        if let Some(way) = self.find(set, tag) {
+        if let Some(idx) = self.find(set, tag, block) {
             // Write hit (line presence suffices; we overwrite words).
             self.stats.write_hits += 1;
-            let idx = self.line_index(set, way);
             self.lines[idx].valid_mask |= need;
             self.lines[idx].referenced = true;
             match self.cfg.write_policy() {
@@ -536,7 +708,7 @@ impl Cache {
                     self.stats.bytes_written_through += u64::from(r.size);
                 }
             }
-            self.touch(set, way);
+            self.touch(set, idx);
             out.hit = true;
             return out;
         }
@@ -553,16 +725,15 @@ impl Cache {
                 self.stats.bytes_written_through += u64::from(r.size);
             }
             WriteAllocate::Allocate => {
-                let way = self.pick_victim(set);
-                self.evict(set, way, &mut out, false);
-                self.fill(set, way, tag, true);
+                let idx = self.pick_victim(set);
+                self.evict(set, idx, &mut out, false);
+                self.fill(set, idx, tag, block, true);
                 out.push_below(BelowRequest {
                     addr: block_addr,
                     bytes: self.cfg.block_size(),
                     kind: BelowKind::Fetch,
                 });
                 self.stats.bytes_fetched += self.cfg.block_size();
-                let idx = self.line_index(set, way);
                 self.lines[idx].valid_mask = self.full_mask;
                 match self.cfg.write_policy() {
                     WritePolicy::WriteBack => self.lines[idx].dirty_mask |= need,
@@ -578,10 +749,9 @@ impl Cache {
             }
             WriteAllocate::Validate => {
                 // Allocate without fetching; only written words valid.
-                let way = self.pick_victim(set);
-                self.evict(set, way, &mut out, false);
-                self.fill(set, way, tag, true);
-                let idx = self.line_index(set, way);
+                let idx = self.pick_victim(set);
+                self.evict(set, idx, &mut out, false);
+                self.fill(set, idx, tag, block, true);
                 self.lines[idx].valid_mask = need;
                 self.lines[idx].dirty_mask = need;
             }
@@ -600,10 +770,8 @@ impl Cache {
     /// Like [`Cache::flush`], also returning the emitted write-backs.
     pub fn flush_collect(&mut self) -> (Vec<BelowRequest>, CacheStats) {
         let mut out = Vec::new();
-        for set in 0..self.cfg.num_sets() {
-            for way in 0..self.cfg.ways() as usize {
-                self.evict(set, way, &mut out, true);
-            }
+        for idx in 0..self.lines.len() {
+            self.evict(idx / self.ways, idx, &mut out, true);
         }
         (out, self.stats)
     }
@@ -727,6 +895,37 @@ mod tests {
         assert!(c.is_resident(0));
         assert!(!c.is_resident(32));
         assert!(c.is_resident(64));
+    }
+
+    #[test]
+    fn plru_wider_than_64_ways_falls_back_to_lru() {
+        // 128 ways: one PlruBits word cannot hold the tree, so PLRU must
+        // behave exactly like LRU.
+        let build = |policy| {
+            Cache::new(
+                CacheConfig::builder(4096, 32)
+                    .associativity(Associativity::Full)
+                    .replacement(policy)
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let mut plru = build(ReplacementPolicy::Plru);
+        let mut lru = build(ReplacementPolicy::Lru);
+        let mut x = 11u64;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = ((x >> 33) % 300) * 32;
+            let r = if i % 4 == 0 {
+                MemRef::write(addr, 4)
+            } else {
+                MemRef::read(addr, 4)
+            };
+            assert_eq!(plru.access(r).below(), lru.access(r).below(), "ref {i}");
+        }
+        assert_eq!(plru.flush(), lru.flush());
     }
 
     #[test]

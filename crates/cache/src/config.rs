@@ -1,5 +1,6 @@
 //! Cache configuration and validation.
 
+use membw_trace::MemRef;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -215,20 +216,89 @@ impl CacheConfig {
     pub fn words_per_block(&self) -> u64 {
         self.block_size / 4
     }
+}
 
-    /// Set index for a block-aligned address.
-    pub fn set_of(&self, addr: u64) -> u64 {
-        (addr / self.block_size) % self.num_sets()
+/// Shift-and-mask arithmetic for one power-of-two block size: an
+/// address's block number and offset, and the QPT-style split of a
+/// reference into per-block pieces — with no division.
+///
+/// # Example
+///
+/// ```
+/// use membw_cache::BlockSplit;
+/// use membw_trace::MemRef;
+///
+/// let split = BlockSplit::new(32);
+/// assert_eq!(split.block_of(70), 2);
+/// assert!(!split.fits(MemRef::read(30, 4)));
+/// let sizes: Vec<u16> = split.pieces(MemRef::read(30, 4)).map(|p| p.size).collect();
+/// assert_eq!(sizes, [2, 2]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSplit {
+    shift: u32,
+}
+
+impl BlockSplit {
+    /// Arithmetic for `block_size`-byte blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is not a power of two.
+    pub fn new(block_size: u64) -> Self {
+        assert!(
+            block_size.is_power_of_two(),
+            "block size {block_size} is not a power of two"
+        );
+        Self {
+            shift: block_size.trailing_zeros(),
+        }
     }
 
-    /// Tag for an address.
-    pub fn tag_of(&self, addr: u64) -> u64 {
-        (addr / self.block_size) / self.num_sets()
+    /// The block number of `addr`.
+    #[inline]
+    pub fn block_of(self, addr: u64) -> u64 {
+        addr >> self.shift
     }
 
-    /// Reconstruct the block-aligned address from a set index and tag.
-    pub fn addr_of(&self, set: u64, tag: u64) -> u64 {
-        (tag * self.num_sets() + set) * self.block_size
+    /// The first byte address of block number `block`.
+    #[inline]
+    pub fn addr_of(self, block: u64) -> u64 {
+        block << self.shift
+    }
+
+    /// The byte offset of `addr` within its block.
+    #[inline]
+    pub fn offset(self, addr: u64) -> u64 {
+        addr & ((1 << self.shift) - 1)
+    }
+
+    /// `true` if `r` lies within one block; the same answer as
+    /// [`MemRef::fits_in_block`].
+    #[inline]
+    pub fn fits(self, r: MemRef) -> bool {
+        self.block_of(r.addr) == self.block_of(r.addr + u64::from(r.size) - 1)
+    }
+
+    /// `r` split at block boundaries into per-block pieces, in address
+    /// order (one piece when `r` [fits](Self::fits)).
+    pub fn pieces(self, r: MemRef) -> impl Iterator<Item = MemRef> {
+        let end = r.addr + u64::from(r.size);
+        let mut addr = r.addr;
+        std::iter::from_fn(move || {
+            if addr >= end {
+                return None;
+            }
+            let block_end = self.addr_of(self.block_of(addr) + 1);
+            let size = (block_end.min(end) - addr) as u16;
+            let piece = MemRef {
+                addr,
+                size,
+                kind: r.kind,
+            };
+            addr += u64::from(size);
+            Some(piece)
+        })
     }
 }
 
@@ -361,16 +431,27 @@ mod tests {
     }
 
     #[test]
-    fn set_and_tag_round_trip() {
-        let cfg = CacheConfig::builder(4096, 64)
-            .associativity(Associativity::Ways(4))
-            .build()
-            .unwrap();
-        for addr in [0u64, 64, 4096, 65536, 123456 & !63] {
-            let set = cfg.set_of(addr);
-            let tag = cfg.tag_of(addr);
-            assert_eq!(cfg.addr_of(set, tag), addr & !(cfg.block_size() - 1));
-            assert!(set < cfg.num_sets());
+    fn block_split_matches_division() {
+        for block in [4u64, 16, 32, 256] {
+            let split = BlockSplit::new(block);
+            for addr in [0u64, 3, block - 1, block, 4093, 65536 + 7, 123_456_789] {
+                assert_eq!(split.block_of(addr), addr / block);
+                assert_eq!(split.offset(addr), addr % block);
+                assert_eq!(split.addr_of(split.block_of(addr)), addr & !(block - 1));
+                for size in [1u16, 2, 4, 8] {
+                    let r = MemRef::read(addr, size);
+                    assert_eq!(split.fits(r), r.fits_in_block(block));
+                    let pieces: Vec<MemRef> = split.pieces(r).collect();
+                    let last = addr + u64::from(size) - 1;
+                    assert_eq!(pieces.len() as u64, last / block - addr / block + 1);
+                    assert_eq!(pieces[0].addr, addr);
+                    assert_eq!(
+                        pieces.iter().map(|p| u64::from(p.size)).sum::<u64>(),
+                        u64::from(size)
+                    );
+                    assert!(pieces.iter().all(|&p| p.fits_in_block(block)));
+                }
+            }
         }
     }
 

@@ -46,8 +46,8 @@ pub mod victim;
 pub use bypass::BypassCache;
 pub use cache::{AccessOutcome, BelowKind, BelowRequest, Cache, MAX_BELOW};
 pub use config::{
-    Associativity, CacheConfig, CacheConfigBuilder, ConfigError, ReplacementPolicy, WriteAllocate,
-    WritePolicy,
+    Associativity, BlockSplit, CacheConfig, CacheConfigBuilder, ConfigError, ReplacementPolicy,
+    WriteAllocate, WritePolicy,
 };
 pub use hierarchy::Hierarchy;
 pub use ratio::{traffic_ratio, TrafficReport};

@@ -1,7 +1,8 @@
 //! Replacement-policy machinery shared by the cache sets.
 //!
 //! Victim choice works off per-line metadata (`last_touch`, `filled_at`)
-//! plus, for tree pseudo-LRU, a per-set bit vector. The policies here are
+//! read straight from the set's lines through [`LineAge`], plus, for tree
+//! pseudo-LRU, a per-set bit vector. The policies here are
 //! the ones the paper's Table 9 factor experiments exercise (LRU) plus the
 //! cheap alternatives a "flexible cache" (§5.3) would offer.
 
@@ -18,13 +19,20 @@ use rand::{Rng, SeedableRng};
 pub struct PlruBits(u64);
 
 impl PlruBits {
+    /// `true` if one `PlruBits` word can hold the tree for `ways` ways
+    /// (a power of two no larger than 64). Wider or odd sets fall back
+    /// to LRU.
+    pub fn covers(ways: usize) -> bool {
+        ways.is_power_of_two() && ways <= 64
+    }
+
     /// Walk the tree toward the pseudo-LRU victim among `ways` ways.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `ways` is not a power of two or exceeds 64.
     pub fn victim(&self, ways: usize) -> usize {
-        debug_assert!(ways.is_power_of_two() && ways <= 64);
+        debug_assert!(Self::covers(ways));
         let mut node = 0usize; // index within a conceptual heap, 0-rooted
         let mut low = 0usize;
         let mut span = ways;
@@ -43,7 +51,7 @@ impl PlruBits {
 
     /// Record an access to `way`, flipping the path bits away from it.
     pub fn touch(&mut self, way: usize, ways: usize) {
-        debug_assert!(ways.is_power_of_two() && ways <= 64);
+        debug_assert!(Self::covers(ways));
         let mut node = 0usize;
         let mut low = 0usize;
         let mut span = ways;
@@ -61,6 +69,32 @@ impl PlruBits {
             }
         }
     }
+}
+
+/// Per-line replacement metadata a set exposes to [`VictimPicker`].
+pub trait LineAge {
+    /// Clock of the line's most recent fill or access.
+    fn last_touch(&self) -> u64;
+    /// Clock of the line's fill.
+    fn filled_at(&self) -> u64;
+}
+
+/// `(last_touch, filled_at)`.
+impl LineAge for (u64, u64) {
+    fn last_touch(&self) -> u64 {
+        self.0
+    }
+
+    fn filled_at(&self) -> u64 {
+        self.1
+    }
+}
+
+/// Index of the line with the smallest `age` (the first on ties).
+fn oldest_by<L>(set: &[L], age: impl Fn(&L) -> u64) -> usize {
+    (0..set.len())
+        .min_by_key(|&i| age(&set[i]))
+        .expect("non-empty")
 }
 
 /// Victim-selection engine: policy plus any global state (the random
@@ -86,42 +120,24 @@ impl VictimPicker {
         self.policy
     }
 
-    /// Choose a victim way given per-way `(last_touch, filled_at)`
-    /// metadata and the set's PLRU bits.
+    /// Choose a victim way among the full `set`'s lines, given the set's
+    /// PLRU bits.
+    ///
+    /// Tree PLRU falls back to LRU on sets [`PlruBits`] cannot cover
+    /// (more than 64 ways, or a way count that is not a power of two).
     ///
     /// # Panics
     ///
-    /// Panics if `meta` is empty.
-    pub fn pick(&mut self, meta: &[(u64, u64)], plru: &PlruBits) -> usize {
-        assert!(!meta.is_empty(), "cannot pick a victim from an empty set");
+    /// Panics if `set` is empty.
+    pub fn pick<L: LineAge>(&mut self, set: &[L], plru: &PlruBits) -> usize {
+        assert!(!set.is_empty(), "cannot pick a victim from an empty set");
         match self.policy {
-            ReplacementPolicy::Lru => meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (touch, _))| *touch)
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            ReplacementPolicy::Fifo => meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, filled))| *filled)
-                .map(|(i, _)| i)
-                .expect("non-empty"),
+            ReplacementPolicy::Plru if PlruBits::covers(set.len()) => plru.victim(set.len()),
+            ReplacementPolicy::Lru | ReplacementPolicy::Plru => oldest_by(set, L::last_touch),
+            ReplacementPolicy::Fifo => oldest_by(set, L::filled_at),
             ReplacementPolicy::Random(_) => {
                 let rng = self.rng.as_mut().expect("random picker carries an rng");
-                rng.gen_range(0..meta.len())
-            }
-            ReplacementPolicy::Plru => {
-                if meta.len().is_power_of_two() {
-                    plru.victim(meta.len())
-                } else {
-                    // Fall back to LRU for odd geometries.
-                    meta.iter()
-                        .enumerate()
-                        .min_by_key(|(_, (touch, _))| *touch)
-                        .map(|(i, _)| i)
-                        .expect("non-empty")
-                }
+                rng.gen_range(0..set.len())
             }
         }
     }
@@ -200,5 +216,16 @@ mod tests {
         let mut p = VictimPicker::new(ReplacementPolicy::Plru);
         let meta = [(5, 0), (1, 1), (9, 2)];
         assert_eq!(p.pick(&meta, &PlruBits::default()), 1);
+    }
+
+    #[test]
+    fn plru_policy_falls_back_to_lru_above_64_ways() {
+        // One u64 holds a 64-way tree at most; a 128-way set must take
+        // the LRU fallback instead of walking past the word.
+        let mut p = VictimPicker::new(ReplacementPolicy::Plru);
+        let mut meta: Vec<(u64, u64)> = (0..128).map(|w| (1000 - w, w)).collect();
+        meta[77].0 = 0;
+        assert_eq!(p.pick(&meta, &PlruBits::default()), 77);
+        assert!(PlruBits::covers(64) && !PlruBits::covers(128));
     }
 }

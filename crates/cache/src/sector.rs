@@ -9,7 +9,7 @@
 //! lands between the 4 B and 32 B curves.
 
 use crate::config::ConfigError;
-use crate::replacement::{PlruBits, VictimPicker};
+use crate::replacement::{LineAge, PlruBits, VictimPicker};
 use crate::stats::CacheStats;
 use crate::ReplacementPolicy;
 use membw_trace::{AccessKind, MemRef};
@@ -100,6 +100,17 @@ struct SectorLine {
     last_touch: u64,
 }
 
+impl LineAge for SectorLine {
+    fn last_touch(&self) -> u64 {
+        self.last_touch
+    }
+
+    /// Sector caches are LRU-only and do not track fill order.
+    fn filled_at(&self) -> u64 {
+        0
+    }
+}
+
 /// A sector (sub-block) cache with traffic accounting.
 ///
 /// # Example
@@ -121,7 +132,6 @@ struct SectorLine {
 pub struct SectorCache {
     cfg: SectorConfig,
     lines: Vec<SectorLine>,
-    plru: Vec<PlruBits>,
     picker: VictimPicker,
     clock: u64,
     stats: CacheStats,
@@ -134,7 +144,6 @@ impl SectorCache {
         Self {
             cfg,
             lines: vec![SectorLine::default(); blocks],
-            plru: vec![PlruBits::default(); cfg.num_sets() as usize],
             picker: VictimPicker::new(ReplacementPolicy::Lru),
             clock: 0,
             stats: CacheStats::default(),
@@ -216,12 +225,11 @@ impl SectorCache {
             None => {
                 // Block miss: evict a whole address block (write back its
                 // dirty sub-blocks) and re-tag; no data moves yet.
-                let meta: Vec<(u64, u64)> = (0..ways)
-                    .map(|w| (self.lines[base + w].last_touch, 0))
-                    .collect();
-                let w = (0..ways)
-                    .find(|&w| !self.lines[base + w].valid)
-                    .unwrap_or_else(|| self.picker.pick(&meta, &self.plru[set as usize]));
+                let set_lines = &self.lines[base..base + ways];
+                let w = set_lines
+                    .iter()
+                    .position(|l| !l.valid)
+                    .unwrap_or_else(|| self.picker.pick(set_lines, &PlruBits::default()));
                 let old = self.lines[base + w];
                 if old.valid {
                     let dirty_subs = (old.dirty & old.present).count_ones() as u64;

@@ -10,8 +10,8 @@
 //! write-backs, write-through bytes, and the end-of-run flush.
 
 use membw_cache::{
-    Associativity, CacheConfig, CacheStats, ConfigError, ReplacementPolicy, WriteAllocate,
-    WritePolicy,
+    Associativity, BlockSplit, CacheConfig, CacheStats, ConfigError, ReplacementPolicy,
+    WriteAllocate, WritePolicy,
 };
 use membw_trace::{MemRef, Workload};
 
@@ -274,6 +274,7 @@ struct Shared {
 #[derive(Debug)]
 pub struct LruSweep {
     spec: SweepSpec,
+    split: BlockSplit,
     /// `(capacity index in the caller's list, level)`.
     levels: Vec<(usize, Level)>,
     n_capacities: usize,
@@ -306,6 +307,7 @@ impl LruSweep {
         membw_runner::ambient_governor().observe_arena_bytes(total);
         Ok(Self {
             spec: *spec,
+            split: BlockSplit::new(spec.block_size),
             levels,
             n_capacities: capacities.len(),
             shared: Shared::default(),
@@ -314,7 +316,7 @@ impl LruSweep {
 
     #[inline]
     fn access_piece(&mut self, r: MemRef) {
-        debug_assert!(r.fits_in_block(self.spec.block_size));
+        debug_assert!(self.split.fits(r));
         self.shared.accesses += 1;
         self.shared.request_bytes += u64::from(r.size);
         let is_write = r.kind.is_write();
@@ -323,7 +325,7 @@ impl LruSweep {
         } else {
             self.shared.reads += 1;
         }
-        let bn = r.addr / self.spec.block_size;
+        let bn = self.split.block_of(r.addr);
         let size = u64::from(r.size);
         let (wp, wa) = (self.spec.write_policy, self.spec.write_allocate);
         for (_, level) in &mut self.levels {
@@ -337,28 +339,20 @@ impl LruSweep {
     /// per requested capacity (`None` = geometry invalid, omitted).
     pub fn run(mut self, refs: &[MemRef]) -> Vec<Option<CacheStats>> {
         let cancel = membw_runner::ambient_cancel_token();
-        let block = self.spec.block_size;
-        for (i, r) in refs.iter().enumerate() {
+        let split = self.split;
+        for (i, &r) in refs.iter().enumerate() {
             if i % CANCEL_POLL == 0 {
                 cancel.check();
             }
-            if r.fits_in_block(block) {
-                self.access_piece(*r);
+            if split.fits(r) {
+                self.access_piece(r);
             } else {
-                let mut addr = r.addr;
-                let end = r.addr + u64::from(r.size);
-                while addr < end {
-                    let block_end = (addr / block + 1) * block;
-                    let piece = (block_end.min(end) - addr) as u16;
-                    self.access_piece(MemRef {
-                        addr,
-                        size: piece,
-                        kind: r.kind,
-                    });
-                    addr += u64::from(piece);
+                for piece in split.pieces(r) {
+                    self.access_piece(piece);
                 }
             }
         }
+        let block = self.spec.block_size;
         let mut out: Vec<Option<CacheStats>> = vec![None; self.n_capacities];
         for (i, level) in &self.levels {
             out[*i] = Some(level.finish(&self.shared, block));
