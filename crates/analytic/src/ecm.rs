@@ -45,8 +45,6 @@
 //! `--audit strict` instead of silently mispredicting.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Version tag carried by every prediction (provenance in serve
 /// responses, audited against at calibration time). Bump whenever the
@@ -59,102 +57,9 @@ pub const MODEL_VERSION: &str = "ecm-1";
 /// out-of-order time model) fall through to real simulation.
 pub const TRIAGE_MAX_REL: f64 = 0.60;
 
-// ---------------------------------------------------------------------------
-// Analytic mode (off | assist | only), ambient like the audit level.
-// ---------------------------------------------------------------------------
-
-/// How the analytic predictor participates in a run
-/// (`repro --analytic off|assist|only`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalyticMode {
-    /// Predictor disabled; output byte-identical to the seed.
-    #[default]
-    Off,
-    /// Simulate as usual, and additionally check every simulated cell
-    /// against the predictor through the `analytic-bound` invariant.
-    Assist,
-    /// Answer from the predictor alone (supported targets only); no
-    /// simulation, no trace arena.
-    Only,
-}
-
-impl AnalyticMode {
-    /// The CLI spelling (`off` / `assist` / `only`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AnalyticMode::Off => "off",
-            AnalyticMode::Assist => "assist",
-            AnalyticMode::Only => "only",
-        }
-    }
-}
-
-impl std::str::FromStr for AnalyticMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(AnalyticMode::Off),
-            "assist" => Ok(AnalyticMode::Assist),
-            "only" => Ok(AnalyticMode::Only),
-            other => Err(format!(
-                "unknown analytic mode '{other}' (expected off|assist|only)"
-            )),
-        }
-    }
-}
-
-/// Process-wide mode set by `repro --analytic` (0 = Off, 1 = Assist,
-/// 2 = Only).
-static GLOBAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    /// Thread-local override installed by [`with_mode`] (tests compare
-    /// modes side by side without touching process state).
-    static TL_MODE: Cell<Option<AnalyticMode>> = const { Cell::new(None) };
-}
-
-fn encode(mode: AnalyticMode) -> u8 {
-    match mode {
-        AnalyticMode::Off => 0,
-        AnalyticMode::Assist => 1,
-        AnalyticMode::Only => 2,
-    }
-}
-
-fn decode(v: u8) -> AnalyticMode {
-    match v {
-        1 => AnalyticMode::Assist,
-        2 => AnalyticMode::Only,
-        _ => AnalyticMode::Off,
-    }
-}
-
-/// Set the process-wide analytic mode (`repro --analytic MODE`).
-pub fn set_mode(mode: AnalyticMode) {
-    GLOBAL_MODE.store(encode(mode), Ordering::SeqCst);
-}
-
-/// The effective analytic mode on this thread.
-pub fn configured_mode() -> AnalyticMode {
-    TL_MODE
-        .with(Cell::get)
-        .unwrap_or_else(|| decode(GLOBAL_MODE.load(Ordering::SeqCst)))
-}
-
-/// Run `f` with the analytic mode forced to `mode` on this thread,
-/// restoring the previous override afterwards.
-pub fn with_mode<R>(mode: AnalyticMode, f: impl FnOnce() -> R) -> R {
-    let prev = TL_MODE.with(|c| c.replace(Some(mode)));
-    struct Restore(Option<AnalyticMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_MODE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
+/// The analytic predictor's role in a run, a [`RunCtx`](membw_runner::RunCtx)
+/// setting.
+pub use membw_runner::AnalyticMode;
 
 // ---------------------------------------------------------------------------
 // Signature data model.
@@ -774,22 +679,6 @@ mod tests {
         assert!((r - t.bytes / 400.0).abs() < 1e-12);
         assert!((rb - t.bound / 400.0).abs() < 1e-12);
         assert_eq!(t.ratio(0), None);
-    }
-
-    #[test]
-    fn mode_parses_and_roundtrips() {
-        for m in [AnalyticMode::Off, AnalyticMode::Assist, AnalyticMode::Only] {
-            assert_eq!(m.as_str().parse::<AnalyticMode>().unwrap(), m);
-        }
-        assert!("auto".parse::<AnalyticMode>().is_err());
-    }
-
-    #[test]
-    fn with_mode_overrides_and_restores() {
-        let base = configured_mode();
-        let inside = with_mode(AnalyticMode::Only, configured_mode);
-        assert_eq!(inside, AnalyticMode::Only);
-        assert_eq!(configured_mode(), base);
     }
 
     #[test]

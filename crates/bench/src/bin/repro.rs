@@ -71,12 +71,12 @@
 
 use membw_bench::{parse_scale, validate_target, ALL_TARGETS};
 use membw_core::analytic::ecm::{self, AnalyticMode};
-use membw_core::audit;
+use membw_core::audit::{self, AuditLevel};
 use membw_core::fastpath;
 use membw_core::report::{self, TargetTiming};
 use membw_core::runner;
 use membw_core::runner::persist;
-use membw_core::runner::CheckpointConfig;
+use membw_core::runner::{CheckpointConfig, RunCtx};
 use membw_core::service::{ServiceRequest, ServiceResponse};
 use membw_core::sweep::SweepMode;
 use membw_core::targets;
@@ -95,7 +95,6 @@ struct Options {
     checkpoint_dir: PathBuf,
     deadline: Option<Duration>,
     sweep: SweepMode,
-    analytic: AnalyticMode,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -108,6 +107,12 @@ fn parse_args() -> Result<Options, String> {
     let mut mem_budget_mb: Option<u64> = None;
     let mut sweep = SweepMode::default();
     let mut analytic = AnalyticMode::Off;
+    // Engine settings reach the root context only after the environment
+    // is validated: the root reads MEMBW_JOBS when it is first touched.
+    let mut jobs = None;
+    let mut retries = 0;
+    let mut job_timeout = None;
+    let mut audit_level = AuditLevel::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -123,7 +128,7 @@ fn parse_args() -> Result<Options, String> {
                 if n == 0 {
                     return Err("--jobs needs a positive integer".to_string());
                 }
-                runner::set_jobs(n);
+                jobs = Some(n);
             }
             "--json" => {
                 let v = args.next().ok_or("--json needs a directory")?;
@@ -131,10 +136,9 @@ fn parse_args() -> Result<Options, String> {
             }
             "--retries" => {
                 let v = args.next().ok_or("--retries needs a count")?;
-                let n: u32 = v
+                retries = v
                     .parse()
                     .map_err(|_| format!("--retries needs a non-negative integer, got '{v}'"))?;
-                runner::set_retries(n);
             }
             "--job-timeout" => {
                 let v = args.next().ok_or("--job-timeout needs seconds")?;
@@ -144,7 +148,7 @@ fn parse_args() -> Result<Options, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--job-timeout needs a positive number of seconds".to_string());
                 }
-                runner::set_job_timeout(Some(Duration::from_secs_f64(secs)));
+                job_timeout = Some(Duration::from_secs_f64(secs));
             }
             "--deadline" => {
                 let v = args.next().ok_or("--deadline needs seconds")?;
@@ -166,8 +170,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args
                     .next()
                     .ok_or("--audit needs a level (off|warn|strict)")?;
-                let level: audit::AuditLevel = v.parse()?;
-                audit::set_level(level);
+                audit_level = v.parse()?;
             }
             "--sweep" => {
                 let v = args.next().ok_or("--sweep needs a mode (stack|direct)")?;
@@ -287,7 +290,13 @@ fn parse_args() -> Result<Options, String> {
             }
         }
     }
-    ecm::set_mode(analytic);
+    if let Some(n) = jobs {
+        runner::set_jobs(n);
+    }
+    runner::set_retries(retries);
+    runner::set_job_timeout(job_timeout);
+    runner::set_audit_level(audit_level);
+    runner::set_analytic_mode(analytic);
     Ok(Options {
         scale,
         json_dir,
@@ -296,7 +305,6 @@ fn parse_args() -> Result<Options, String> {
         checkpoint_dir,
         deadline,
         sweep,
-        analytic,
     })
 }
 
@@ -307,22 +315,22 @@ fn run_target(
     timings: &mut Vec<TargetTiming>,
 ) -> Result<(), MembwError> {
     let wall_start = Instant::now();
-    let metrics_before = runner::metrics();
+    let ctx = RunCtx::current().child();
     let uops_before = report::uops_executed();
-    run_leaf(opts, target)?;
-    let delta = runner::metrics_delta(metrics_before, runner::metrics());
+    ctx.enter(|| run_leaf(opts, target))?;
+    let counted = ctx.sink.metrics();
     timings.push(TargetTiming {
         target: target.to_string(),
         wall: wall_start.elapsed(),
-        jobs: delta.jobs,
-        busy: delta.busy(),
+        jobs: counted.jobs,
+        busy: counted.busy(),
         uops: report::uops_executed() - uops_before,
     });
     Ok(())
 }
 
 fn run_leaf(opts: &Options, target: &str) -> Result<(), MembwError> {
-    if opts.analytic == AnalyticMode::Only {
+    if RunCtx::current().analytic == AnalyticMode::Only {
         // Microsecond path: answer from the ECM predictor and trace
         // signatures alone — no simulation, no trace arena. The output
         // is labelled with the model version and carries error bounds;
@@ -428,7 +436,7 @@ fn cmd_serve_supervised(argv: &[String]) -> i32 {
     // The parent validates nothing itself: a config typo makes the
     // child exit 2 and the supervisor propagates it without looping.
     runner::install_signal_drain();
-    let cancel = runner::global_cancel_token();
+    let cancel = runner::CancelToken::global();
     membw_serve::supervisor::supervise(
         |restarts| {
             let mut cmd = std::process::Command::new(&exe);
@@ -459,6 +467,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
     let mut store_dir = PathBuf::from("results/.serve-store");
     let mut checkpoint_dir = PathBuf::from("results/.checkpoint");
     let mut mem_budget_mb: Option<u64> = None;
+    let mut jobs = None;
     let mut args = argv.iter();
     let parsed = (|| -> Result<(), String> {
         while let Some(a) = args.next() {
@@ -516,7 +525,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
                         .ok()
                         .filter(|n| *n > 0)
                         .ok_or_else(|| format!("--jobs needs a positive integer, got '{v}'"))?;
-                    runner::set_jobs(n);
+                    jobs = Some(n);
                 }
                 "--mem-budget" => {
                     let v = args.next().ok_or("--mem-budget needs whole MiB")?;
@@ -564,13 +573,16 @@ fn cmd_serve(argv: &[String]) -> i32 {
         eprintln!("error: {e}");
         return 2;
     }
+    if let Some(n) = jobs {
+        runner::set_jobs(n);
+    }
     if let Some(mb) = mem_budget_mb {
         runner::set_mem_budget(Some(mb));
     }
     if config.analytic {
         // Simulated renders on an assist daemon carry the same
         // analytic-bound audits as `repro --analytic assist` runs.
-        ecm::set_mode(AnalyticMode::Assist);
+        runner::set_analytic_mode(AnalyticMode::Assist);
         eprintln!(
             "serve: analytic fast lane enabled (model {})",
             ecm::MODEL_VERSION
@@ -616,7 +628,7 @@ fn cmd_serve(argv: &[String]) -> i32 {
         store_dir.display()
     );
     let server = Arc::new(Server::new(config, store));
-    let cancel = runner::global_cancel_token();
+    let cancel = runner::CancelToken::global();
     let served = match serve(&server, listener, &cancel) {
         Ok(n) => n,
         Err(e) => {
@@ -857,7 +869,7 @@ fn main() {
     // From here on SIGINT/SIGTERM request a drain instead of killing the
     // process; a second signal force-exits with code 130.
     runner::install_signal_drain();
-    let cancel = runner::global_cancel_token();
+    let cancel = runner::CancelToken::global();
     if let Some(d) = opts.deadline {
         cancel.set_deadline(d);
     }
@@ -902,11 +914,12 @@ fn main() {
         eprintln!();
         eprintln!(
             "{}",
-            report::timing_table(&timings, runner::configured_jobs()).render()
+            report::timing_table(&timings, RunCtx::current().jobs).render()
         );
     }
     let audit_summary = audit::summary();
-    if audit_summary.targets > 0 || audit::configured_level() != audit::AuditLevel::Off {
+    let audit_level = RunCtx::current().audit;
+    if audit_summary.targets > 0 || audit_level != AuditLevel::Off {
         let quarantined = runner::quarantined_artifacts();
         let trace_failures = membw_core::trace::TraceCache::global()
             .stats()
@@ -914,7 +927,7 @@ fn main() {
         eprintln!(
             "audit[{}]: {} check(s) across {} target(s), {} violation(s); \
              {} artifact(s) quarantined, {} cached trace(s) failed verification",
-            audit::configured_level().as_str(),
+            audit_level.as_str(),
             audit_summary.checks,
             audit_summary.targets,
             audit_summary.violations,
@@ -922,7 +935,7 @@ fn main() {
             trace_failures,
         );
     }
-    let gov = runner::global_governor();
+    let gov = &RunCtx::current().governor;
     if gov.limited() {
         let s = gov.stats();
         eprintln!(

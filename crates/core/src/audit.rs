@@ -39,100 +39,14 @@
 //! drift apart.
 
 use crate::error::MembwError;
+use membw_runner::RunCtx;
 use membw_sim::Decomposition;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How hard the auditor reacts to a violated invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditLevel {
-    /// Skip all checks.
-    Off,
-    /// Check everything; report violations on stderr and keep going.
-    #[default]
-    Warn,
-    /// Check everything; violations fail the target with
-    /// [`MembwError::InvariantViolation`].
-    Strict,
-}
-
-impl AuditLevel {
-    /// The CLI spelling (`off` / `warn` / `strict`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AuditLevel::Off => "off",
-            AuditLevel::Warn => "warn",
-            AuditLevel::Strict => "strict",
-        }
-    }
-}
-
-impl std::str::FromStr for AuditLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(AuditLevel::Off),
-            "warn" => Ok(AuditLevel::Warn),
-            "strict" => Ok(AuditLevel::Strict),
-            other => Err(format!(
-                "unknown audit level '{other}' (expected off|warn|strict)"
-            )),
-        }
-    }
-}
-
-/// Process-wide level set by `repro --audit` (encoded; 0 = Off,
-/// 1 = Warn, 2 = Strict). Defaults to Warn.
-static GLOBAL_LEVEL: AtomicU8 = AtomicU8::new(1);
-
-thread_local! {
-    /// Thread-local override installed by [`with_level`] (tests compare
-    /// levels side by side without touching process state).
-    static TL_LEVEL: Cell<Option<AuditLevel>> = const { Cell::new(None) };
-}
-
-fn encode(level: AuditLevel) -> u8 {
-    match level {
-        AuditLevel::Off => 0,
-        AuditLevel::Warn => 1,
-        AuditLevel::Strict => 2,
-    }
-}
-
-fn decode(v: u8) -> AuditLevel {
-    match v {
-        0 => AuditLevel::Off,
-        2 => AuditLevel::Strict,
-        _ => AuditLevel::Warn,
-    }
-}
-
-/// Set the process-wide audit level (`repro --audit LEVEL`).
-pub fn set_level(level: AuditLevel) {
-    GLOBAL_LEVEL.store(encode(level), Ordering::SeqCst);
-}
-
-/// The effective audit level on this thread.
-pub fn configured_level() -> AuditLevel {
-    TL_LEVEL
-        .with(Cell::get)
-        .unwrap_or_else(|| decode(GLOBAL_LEVEL.load(Ordering::SeqCst)))
-}
-
-/// Run `f` with the audit level forced to `level` on this thread,
-/// restoring the previous override afterwards.
-pub fn with_level<R>(level: AuditLevel, f: impl FnOnce() -> R) -> R {
-    let prev = TL_LEVEL.with(|c| c.replace(Some(level)));
-    struct Restore(Option<AuditLevel>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_LEVEL.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
+/// How hard the auditor reacts to a violated invariant, a
+/// [`RunCtx`] setting; under `Strict`, violations fail the target with
+/// [`MembwError::InvariantViolation`].
+pub use membw_runner::AuditLevel;
 
 /// Process-wide audit accounting, for the per-run summary `repro`
 /// prints on stderr.
@@ -186,7 +100,7 @@ impl std::fmt::Display for Violation {
 
 /// Collects invariant checks for one `run_*` invocation.
 ///
-/// Construct with [`Auditor::new`] (honours the configured level) or
+/// Construct with [`Auditor::new`] (honours the current [`RunCtx`]'s level) or
 /// [`Auditor::strict`] (tests), feed it cells, then [`Auditor::finish`].
 #[derive(Debug)]
 pub struct Auditor {
@@ -202,9 +116,9 @@ pub struct Auditor {
 const EPS: f64 = 1e-6;
 
 impl Auditor {
-    /// An auditor for `target` at the configured level.
+    /// An auditor for `target` at the current context's level.
     pub fn new(target: impl Into<String>) -> Self {
-        Self::at(target, configured_level())
+        Self::at(target, RunCtx::current().audit)
     }
 
     /// An auditor pinned to [`AuditLevel::Strict`] — the test suites use
@@ -427,22 +341,6 @@ mod tests {
             full_mem: Default::default(),
             uops: 400,
         }
-    }
-
-    #[test]
-    fn levels_parse_and_roundtrip() {
-        for l in [AuditLevel::Off, AuditLevel::Warn, AuditLevel::Strict] {
-            assert_eq!(l.as_str().parse::<AuditLevel>().unwrap(), l);
-        }
-        assert!("loud".parse::<AuditLevel>().is_err());
-    }
-
-    #[test]
-    fn with_level_overrides_and_restores() {
-        let base = configured_level();
-        let inside = with_level(AuditLevel::Strict, configured_level);
-        assert_eq!(inside, AuditLevel::Strict);
-        assert_eq!(configured_level(), base);
     }
 
     #[test]

@@ -28,13 +28,13 @@ use membw_analytic::ecm::{
     self, AnalyticMode, EcmConfig, TrafficGeometry, MODEL_VERSION, TRIAGE_MAX_REL,
 };
 use membw_analytic::effective_pin_bandwidth;
-use membw_runner::ambient_governor;
+use membw_runner::RunCtx;
 use membw_sim::{Experiment, MachineSpec};
 use membw_workloads::{suite92, suite95, Benchmark, Scale, Suite};
 
 /// `true` when the current thread runs with `--analytic assist`.
 pub fn assist_enabled() -> bool {
-    ecm::configured_mode() == AnalyticMode::Assist
+    RunCtx::current().analytic == AnalyticMode::Assist
 }
 
 /// The targets [`render_target_analytic`] can answer.
@@ -394,7 +394,7 @@ pub fn render_target_analytic(target: &str, scale: Scale) -> Option<AnalyticRend
     if !analytic_supported(target) {
         return None;
     }
-    let _light = ambient_governor().admit_light();
+    let _light = RunCtx::current().governor.admit_light();
     Some(match target {
         "fig3" => fig3_analytic(scale),
         "table7" => table7_analytic(scale),

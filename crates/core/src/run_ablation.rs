@@ -125,7 +125,7 @@ pub fn run(scale: Scale, cache_bytes: u64) -> Result<(AblationResult, Table), Me
         suite.len(),
         n_t
     );
-    let raw = Runner::from_env().checkpointed("ablation", &key, suite.len() * n_t, |k| {
+    let raw = Runner::default().checkpointed("ablation", &key, suite.len() * n_t, |k| {
         let b = &suite[k / n_t];
         let t = TECHNIQUES[k % n_t];
         let refs = b.replayable().collect_mem_refs();

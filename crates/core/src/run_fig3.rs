@@ -117,7 +117,7 @@ pub fn run_suite(
         benchmarks.len(),
         exp_labels.join(",")
     );
-    let raw = Runner::from_env().checkpointed(&label, &key, benchmarks.len() * n_e, |k| {
+    let raw = Runner::default().checkpointed(&label, &key, benchmarks.len() * n_e, |k| {
         let b = &benchmarks[k / n_e];
         let e = experiments[k % n_e];
         let spec = spec_for(e);

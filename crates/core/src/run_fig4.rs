@@ -170,7 +170,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Vec<Fig4Panel>, Vec<Ta
     let curve_specs = CurveSpec::all();
     let n_c = curve_specs.len();
     let key = format!("v2/fig4/{scale:?}/{mode}/{}x{}", panel_names.len(), n_c);
-    let raw = Runner::from_env().checkpointed("fig4", &key, panel_names.len() * n_c, |k| {
+    let raw = Runner::default().checkpointed("fig4", &key, panel_names.len() * n_c, |k| {
         let name = panel_names[k / n_c];
         let spec = &curve_specs[k % n_c];
         let b = suite

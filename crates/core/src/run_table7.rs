@@ -128,7 +128,7 @@ pub fn run(scale: Scale) -> Result<(Table7Result, Table), MembwError> {
 pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table7Result, Table), MembwError> {
     let suite = suite92(scale);
     let key = format!("v2/table7/{scale:?}/{mode}/{}", suite.len());
-    let rows = Runner::from_env().checkpointed("table7", &key, suite.len(), |i| {
+    let rows = Runner::default().checkpointed("table7", &key, suite.len(), |i| {
         let b = &suite[i];
         // Replay the shared recording once into a flat vector, then sweep.
         let refs: Vec<MemRef> = b.replayable().collect_mem_refs();

@@ -133,7 +133,7 @@ pub fn run(scale: Scale) -> Result<(Table8Result, Table), MembwError> {
 pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table8Result, Table), MembwError> {
     let suite = suite92(scale);
     let key = format!("v2/table8/{scale:?}/{mode}/{}", suite.len());
-    let rows = Runner::from_env().checkpointed("table8", &key, suite.len(), |i| {
+    let rows = Runner::default().checkpointed("table8", &key, suite.len(), |i| {
         let b = &suite[i];
         let refs: Vec<MemRef> = b.replayable().collect_mem_refs();
         row_for(b, &refs, mode)

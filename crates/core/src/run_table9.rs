@@ -68,7 +68,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table9Result, Vec<Tabl
     let gaps: Vec<FactorGap> = match mode {
         SweepMode::Direct => {
             let key = format!("v2/table9/{scale:?}/{mode}/{}x{}", suite.len(), n_f);
-            let raw = Runner::from_env().checkpointed("table9", &key, suite.len() * n_f, |k| {
+            let raw = Runner::default().checkpointed("table9", &key, suite.len() * n_f, |k| {
                 let b = &suite[k / n_f];
                 let spec = &TABLE10_FACTORS[k % n_f];
                 factor_gap(spec, &b.replayable(), capacity_for(b.name()))
@@ -86,7 +86,7 @@ pub fn run_with(scale: Scale, mode: SweepMode) -> Result<(Table9Result, Vec<Tabl
         }
         SweepMode::Stack => {
             let key = format!("v2/table9/{scale:?}/{mode}/{}", suite.len());
-            let raw = Runner::from_env().checkpointed("table9", &key, suite.len(), |i| {
+            let raw = Runner::default().checkpointed("table9", &key, suite.len(), |i| {
                 let b = &suite[i];
                 factor_gaps(&b.replayable(), capacity_for(b.name()))
             });

@@ -223,7 +223,7 @@ fn params_table(suite: &str, spec_for: impl Fn(Experiment) -> MachineSpec) -> Ta
 /// The returned [`RenderedTarget::stdout`] is byte-for-byte what the
 /// `repro` CLI prints for the same `(target, scale, sweep)`; the
 /// auditor, governor, checkpoint store, and sweep engine all apply
-/// through their ambient configuration exactly as in a CLI run.
+/// through the current [`RunCtx`](membw_runner::RunCtx) exactly as in a CLI run.
 ///
 /// # Errors
 ///

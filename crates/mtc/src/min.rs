@@ -171,9 +171,9 @@ impl MinCache {
             "next-use index must cover the reference stream"
         );
         let mut cache = Self::new(*cfg);
-        // Poll the ambient cancel token on the scan so a drain or
+        // Poll the context's cancel token on the scan so a drain or
         // deadline stops a long MTC pass within milliseconds.
-        let cancel = membw_runner::ambient_cancel_token();
+        let cancel = membw_runner::RunCtx::current().cancel.clone();
         for (i, r) in refs.iter().enumerate() {
             if i.is_multiple_of(8192) {
                 cancel.check();

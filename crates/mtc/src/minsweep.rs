@@ -90,7 +90,9 @@ pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
     let index = NextUseIndex::build(refs, block);
     // The shared index (next-use + block vectors, 16 bytes per
     // reference) is the sweep's big allocation; let the governor see it.
-    membw_runner::ambient_governor().observe_arena_bytes(refs.len() as u64 * 16);
+    membw_runner::RunCtx::current()
+        .governor
+        .observe_arena_bytes(refs.len() as u64 * 16);
     if cfgs
         .iter()
         .all(|c| c.write == first.write && c.bypass == first.bypass)
@@ -105,7 +107,7 @@ pub fn min_sweep(cfgs: &[MinConfig], refs: &[MemRef]) -> Vec<CacheStats> {
 /// state per configuration, advanced in lockstep over the shared index.
 fn multi_state(cfgs: &[MinConfig], refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
     let mut caches: Vec<MinCache> = cfgs.iter().map(|c| MinCache::new(*c)).collect();
-    let cancel = membw_runner::ambient_cancel_token();
+    let cancel = membw_runner::RunCtx::current().cancel.clone();
     for (i, r) in refs.iter().enumerate() {
         if i.is_multiple_of(8192) {
             cancel.check();
@@ -209,7 +211,7 @@ impl InclusionSweep {
     }
 
     fn run(mut self, refs: &[MemRef], index: &NextUseIndex) -> Vec<CacheStats> {
-        let cancel = membw_runner::ambient_cancel_token();
+        let cancel = membw_runner::RunCtx::current().cancel.clone();
         for (i, r) in refs.iter().enumerate() {
             if i.is_multiple_of(8192) {
                 cancel.check();

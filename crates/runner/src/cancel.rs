@@ -19,15 +19,12 @@
 //! flush through the normal durable path, and a later `--resume` run
 //! recomputes only the cancelled slots.
 //!
-//! # Ambient installation
+//! # Where jobs find their token
 //!
-//! Like the jobs/retries/checkpoint configuration, the token is
-//! installed ambiently: [`global_cancel_token`] is the process-wide
-//! token (the one SIGINT flips), and [`with_cancel_token`] overrides it
-//! thread-locally so tests can cancel an isolated batch without
-//! touching process state. [`Runner`](crate::Runner) captures the
-//! ambient token when a batch starts and re-installs it inside every
-//! worker and watchdog thread, so jobs always see the right one.
+//! The token is the [`RunCtx::cancel`](crate::RunCtx) field. The
+//! process root carries the global token (the one SIGINT flips); tests
+//! and serve requests enter a context with their own token to cancel an
+//! isolated batch without touching process state.
 //!
 //! # Deadlines
 //!
@@ -174,6 +171,13 @@ impl CancelToken {
         }
     }
 
+    /// The process-wide token: the one [`install_signal_drain`] wires
+    /// to SIGINT/SIGTERM and `repro --deadline` arms, carried by the root
+    /// [`RunCtx`](crate::RunCtx).
+    pub fn global() -> Self {
+        CancelToken { core: Core::Global }
+    }
+
     fn inner(&self) -> &Inner {
         match &self.core {
             Core::Global => &GLOBAL_INNER,
@@ -232,43 +236,6 @@ impl CancelToken {
     pub fn signals_seen(&self) -> u64 {
         self.inner().signals.load(Ordering::Relaxed)
     }
-}
-
-/// The process-wide token: the one [`install_signal_drain`] wires to
-/// SIGINT/SIGTERM and `repro --deadline` arms.
-pub fn global_cancel_token() -> CancelToken {
-    CancelToken { core: Core::Global }
-}
-
-thread_local! {
-    /// Thread-local override installed by [`with_cancel_token`].
-    static TL_CANCEL: std::cell::RefCell<Option<CancelToken>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Run `f` with `token` as the ambient cancel token on this thread,
-/// restoring the previous override afterwards. Tests cancel an
-/// isolated batch this way without touching the process-wide token.
-pub fn with_cancel_token<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
-    let prev = TL_CANCEL.with(|c| c.replace(Some(token)));
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_CANCEL.with(|c| {
-                *c.borrow_mut() = self.0.take();
-            });
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The ambient token on this thread: the [`with_cancel_token`]
-/// override if one is installed, else the process-wide token.
-pub fn ambient_cancel_token() -> CancelToken {
-    TL_CANCEL
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(global_cancel_token)
 }
 
 /// Async-signal-safe SIGINT/SIGTERM handler: first delivery flips the
@@ -369,16 +336,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         assert!(t.is_cancelled());
         assert_eq!(t.cancel_reason(), Some(CancelReason::DeadlineExceeded));
-    }
-
-    #[test]
-    fn ambient_override_restores() {
-        let t = CancelToken::new();
-        t.cancel(CancelReason::Interrupted);
-        let seen = with_cancel_token(t, || ambient_cancel_token().is_cancelled());
-        assert!(seen);
-        // Outside the override the ambient token is the (live) global.
-        assert!(!ambient_cancel_token().is_cancelled());
     }
 
     #[test]

@@ -34,18 +34,18 @@
 //! contract, stdout stays byte-identical to an unbudgeted run — the CI
 //! smoke diffs it.
 //!
-//! # Ambient installation
+//! # Where jobs find their governor
 //!
-//! Mirrors the jobs/retries/checkpoint/cancel pattern:
-//! [`global_governor`] is the process-wide instance `repro
-//! --mem-budget` configures via [`set_mem_budget`]; [`with_governor`]
-//! installs a scoped override for tests. The run engine captures the
-//! ambient governor per batch and re-installs it inside worker
-//! threads; the trace cache consults it on every lookup.
+//! The governor is the [`RunCtx::governor`](crate::RunCtx) field. The
+//! root's instance is the one `repro --mem-budget` configures through
+//! [`set_mem_budget`](crate::set_mem_budget); tests enter a context with
+//! their own budgeted instance. The run engine admits every job through
+//! its context's governor, and the trace cache consults it on every
+//! lookup.
 
 use crate::cancel::CancelToken;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Environment variable naming the invocation-wide memory budget in
@@ -400,50 +400,6 @@ impl Drop for AdmissionGuard {
     }
 }
 
-/// The process-wide governor (`repro --mem-budget` configures it via
-/// [`set_mem_budget`]; unlimited until then).
-pub fn global_governor() -> Arc<Governor> {
-    static GLOBAL: OnceLock<Arc<Governor>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Governor::unlimited())))
-}
-
-/// Configure the process-wide governor's budget (`--mem-budget MB` /
-/// `MEMBW_MEM_BUDGET_MB`); `None` disables it.
-pub fn set_mem_budget(mb: Option<u64>) {
-    global_governor().set_budget_mb(mb);
-}
-
-thread_local! {
-    /// Thread-local override installed by [`with_governor`].
-    static TL_GOVERNOR: std::cell::RefCell<Option<Arc<Governor>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Run `f` with `gov` as the ambient governor on this thread,
-/// restoring the previous override afterwards (tests budget an
-/// isolated batch without touching process state).
-pub fn with_governor<R>(gov: Arc<Governor>, f: impl FnOnce() -> R) -> R {
-    let prev = TL_GOVERNOR.with(|c| c.replace(Some(gov)));
-    struct Restore(Option<Arc<Governor>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_GOVERNOR.with(|c| {
-                *c.borrow_mut() = self.0.take();
-            });
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The ambient governor on this thread: the [`with_governor`] override
-/// if installed, else the process-wide instance.
-pub fn ambient_governor() -> Arc<Governor> {
-    TL_GOVERNOR
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(global_governor)
-}
-
 /// Strictly parse a mebibyte budget (for `--mem-budget` and
 /// `MEMBW_MEM_BUDGET_MB`): a bare non-negative integer. 0 is legal and
 /// means "strictest" — degrade everything from the start.
@@ -582,15 +538,5 @@ mod tests {
         assert!(err.contains(MEM_BUDGET_MB_ENV), "{err}");
         assert!(parse_mem_budget_mb("-3").is_err());
         assert!(parse_mem_budget_mb("").is_err());
-    }
-
-    #[test]
-    fn ambient_override_restores() {
-        let g = Arc::new(Governor::with_budget_mb(7));
-        let seen = with_governor(Arc::clone(&g), || ambient_governor().limited());
-        assert!(seen);
-        // Outside the override: the global governor (unlimited unless
-        // a concurrent test configured it — don't assert on that).
-        let _ = ambient_governor();
     }
 }

@@ -20,23 +20,18 @@
 //!   [`JobOutcome::Panicked`] with the panic message; the worker thread
 //!   and every other job are untouched.
 //! * **Cooperative cancellation** — every job gets a private
-//!   [`CancelToken`], installed ambiently while it runs so the sim hot
-//!   loops poll it exactly as they poll SIGINT in CLI runs.
+//!   [`CancelToken`] as its context's token while it runs, so the sim
+//!   hot loops poll it exactly as they poll SIGINT in CLI runs.
 //!   [`JobHandle::cancel`] stops a queued job before it starts and
 //!   drains a running one at the next poll.
 //!
-//! Workers capture the *submitting context's* ambient configuration
-//! (checkpoint store, memory governor, thread count, retries, job
-//! timeout) at construction, so dispatched jobs behave exactly like
-//! jobs the constructing thread would have run inline.
+//! Every job runs under the [`RunCtx`] the dispatcher was built with
+//! (with the job's own token), so dispatched jobs behave exactly like
+//! jobs run inline under that context.
 
-use crate::cancel::{with_cancel_token, CancelReason, CancelToken, CancelUnwind};
-use crate::governor::{ambient_governor, with_governor, Governor};
-use crate::{
-    configured_checkpoint, configured_job_timeout, configured_jobs, configured_retries,
-    failure::panic_message, with_checkpoint, with_job_timeout, with_jobs, with_retries,
-    CheckpointConfig,
-};
+use crate::cancel::{CancelReason, CancelToken, CancelUnwind};
+use crate::failure::panic_message;
+use crate::RunCtx;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -199,18 +194,8 @@ struct Shared<T> {
     /// Signalled when a job retires (drain waits on this).
     retired: Condvar,
     queue_bound: usize,
-    /// Ambient context captured at construction, re-installed in every
-    /// worker so dispatched jobs see the constructor's configuration.
-    ctx: AmbientCtx,
-}
-
-/// The ambient configuration a dispatcher's workers inherit.
-struct AmbientCtx {
-    jobs: usize,
-    retries: u32,
-    timeout: Option<Duration>,
-    checkpoint: Option<CheckpointConfig>,
-    governor: Arc<Governor>,
+    /// The context every job runs under.
+    ctx: RunCtx,
 }
 
 /// See the [module docs](self).
@@ -221,10 +206,9 @@ pub struct Dispatcher<T: Send + Sync + 'static> {
 
 impl<T: Send + Sync + 'static> Dispatcher<T> {
     /// A dispatcher with `workers` concurrent executors and room for
-    /// `queue_bound` waiting jobs (both clamped to at least 1). The
-    /// calling thread's ambient configuration (jobs, retries, timeout,
-    /// checkpoint, governor) is captured and installed in every worker.
-    pub fn new(workers: usize, queue_bound: usize) -> Self {
+    /// `queue_bound` waiting jobs (both clamped to at least 1), running
+    /// every job under `ctx`.
+    pub fn new(ctx: &RunCtx, workers: usize, queue_bound: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: BTreeMap::new(),
@@ -235,13 +219,7 @@ impl<T: Send + Sync + 'static> Dispatcher<T> {
             available: Condvar::new(),
             retired: Condvar::new(),
             queue_bound: queue_bound.max(1),
-            ctx: AmbientCtx {
-                jobs: configured_jobs(),
-                retries: configured_retries(),
-                timeout: configured_job_timeout(),
-                checkpoint: configured_checkpoint(),
-                governor: ambient_governor(),
-            },
+            ctx: ctx.clone(),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -391,24 +369,17 @@ fn worker_loop<T: Send + Sync + 'static>(shared: &Shared<T>) {
     }
 }
 
-/// Execute one job under the captured ambient context with per-job
+/// Execute one job under `ctx` with its own `token`, with per-job
 /// panic isolation and cancellation accounting.
-fn run_one<T>(ctx: &AmbientCtx, token: &CancelToken, job: Job<T>) -> JobOutcome<T> {
+fn run_one<T>(ctx: &RunCtx, token: &CancelToken, job: Job<T>) -> JobOutcome<T> {
     if let Some(reason) = token.cancel_reason() {
         return JobOutcome::Cancelled(reason);
     }
-    let tok = token.clone();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        with_jobs(ctx.jobs, || {
-            with_retries(ctx.retries, || {
-                with_job_timeout(ctx.timeout, || {
-                    with_checkpoint(ctx.checkpoint.clone(), || {
-                        with_governor(Arc::clone(&ctx.governor), || with_cancel_token(tok, job))
-                    })
-                })
-            })
-        })
-    }));
+    let job_ctx = RunCtx {
+        cancel: token.clone(),
+        ..ctx.clone()
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| job_ctx.enter(job)));
     match result {
         Ok(v) => JobOutcome::Completed(Arc::new(v)),
         Err(p) => match p.downcast_ref::<CancelUnwind>() {
@@ -425,7 +396,7 @@ mod tests {
 
     #[test]
     fn submit_await_round_trips() {
-        let d = Dispatcher::new(2, 8);
+        let d = Dispatcher::new(&RunCtx::current(), 2, 8);
         let h = d.submit(0, || 6 * 7).unwrap();
         match h.wait() {
             JobOutcome::Completed(v) => assert_eq!(*v, 42),
@@ -439,7 +410,7 @@ mod tests {
         // One worker, blocked by a gate job while we queue the rest:
         // the observed execution order must be priority desc, then
         // arrival order, independent of submission jitter.
-        let d: Dispatcher<()> = Dispatcher::new(1, 16);
+        let d: Dispatcher<()> = Dispatcher::new(&RunCtx::current(), 1, 16);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let blocker = d
@@ -487,7 +458,7 @@ mod tests {
 
     #[test]
     fn queue_bound_refuses_with_queue_full() {
-        let d: Dispatcher<()> = Dispatcher::new(1, 2);
+        let d: Dispatcher<()> = Dispatcher::new(&RunCtx::current(), 1, 2);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let blocker = d
@@ -521,7 +492,7 @@ mod tests {
 
     #[test]
     fn panicking_job_resolves_its_own_handle_only() {
-        let d = Dispatcher::new(2, 8);
+        let d = Dispatcher::new(&RunCtx::current(), 2, 8);
         let bad = d
             .submit(0, || -> u32 { panic!("request 7 exploded") })
             .unwrap();
@@ -542,7 +513,7 @@ mod tests {
 
     #[test]
     fn cancel_stops_a_queued_job_before_it_runs() {
-        let d: Dispatcher<()> = Dispatcher::new(1, 8);
+        let d: Dispatcher<()> = Dispatcher::new(&RunCtx::current(), 1, 8);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let blocker = d
@@ -577,11 +548,11 @@ mod tests {
 
     #[test]
     fn running_jobs_see_their_own_ambient_token() {
-        let d = Dispatcher::new(1, 4);
+        let d = Dispatcher::new(&RunCtx::current(), 1, 4);
         let h = d
             .submit(0, || {
-                // The ambient token inside the job is the handle's.
-                let tok = crate::ambient_cancel_token();
+                // The context's token inside the job is the handle's.
+                let tok = RunCtx::current().cancel.clone();
                 tok.cancel(CancelReason::Interrupted);
                 tok.check(); // unwinds -> Cancelled, not Panicked
             })
@@ -595,7 +566,7 @@ mod tests {
 
     #[test]
     fn drain_cancels_queued_work_and_refuses_new() {
-        let d: Dispatcher<u32> = Dispatcher::new(1, 8);
+        let d: Dispatcher<u32> = Dispatcher::new(&RunCtx::current(), 1, 8);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let blocker = d
@@ -630,7 +601,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_returns_none_while_running() {
-        let d: Dispatcher<()> = Dispatcher::new(1, 4);
+        let d: Dispatcher<()> = Dispatcher::new(&RunCtx::current(), 1, 4);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         let h = d
@@ -651,22 +622,5 @@ mod tests {
         }
         assert!(h.wait_timeout(Duration::from_secs(5)).is_some());
         d.close();
-    }
-
-    #[test]
-    fn workers_inherit_the_constructor_ambient_config() {
-        // with_jobs is thread-local; the dispatcher must carry it into
-        // its workers or dispatched runs would see the global default.
-        let seen = with_jobs(3, || {
-            let d = Dispatcher::new(1, 4);
-            let h = d.submit(0, configured_jobs).unwrap();
-            let out = match h.wait() {
-                JobOutcome::Completed(v) => *v,
-                other => panic!("unexpected outcome: {other:?}"),
-            };
-            d.close();
-            out
-        });
-        assert_eq!(seen, 3);
     }
 }

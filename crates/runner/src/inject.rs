@@ -8,10 +8,10 @@
 //!   catch_unwind isolation, retry accounting, and failure summary.
 //! * `MEMBW_FAULT_SLOW` — comma-separated `label:index:millis` entries;
 //!   matching jobs sleep before running, exercising the `--job-timeout`
-//!   watchdog. The sleep is sliced and polls the ambient cancel token,
+//!   watchdog. The sleep is sliced and polls the context's cancel token,
 //!   so a drain is never stuck behind an injected delay.
 //! * `MEMBW_FAULT_CANCEL` — comma-separated `label:index` entries (or
-//!   `label:*`); dispatching a matching job cancels the ambient
+//!   `label:*`); dispatching a matching job cancels the context's
 //!   [`CancelToken`](crate::CancelToken), exercising the full
 //!   interrupt-drain path in-process, with no real signals.
 //!
@@ -25,14 +25,15 @@
 //! up front: a typo'd spec is a named-variable error and a refusal to
 //! start, never a silently-ignored hook.
 
-use crate::cancel::{ambient_cancel_token, CancelReason};
+use crate::cancel::CancelReason;
+use crate::RunCtx;
 use std::time::Duration;
 
 /// Environment variable injecting per-job panics.
 pub const FAULT_INJECT_ENV: &str = "MEMBW_FAULT_INJECT";
 /// Environment variable injecting per-job delays.
 pub const FAULT_SLOW_ENV: &str = "MEMBW_FAULT_SLOW";
-/// Environment variable injecting an ambient-token cancellation.
+/// Environment variable injecting a cancellation of the context's token.
 pub const FAULT_CANCEL_ENV: &str = "MEMBW_FAULT_CANCEL";
 
 /// True if `entry` (e.g. `"table8:3"` or `"table8:*"`) selects job
@@ -95,12 +96,12 @@ pub fn validate_slow_spec(spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Sleep for `ms` milliseconds in 50 ms slices, polling the ambient
+/// Sleep for `ms` milliseconds in 50 ms slices, polling the context's
 /// cancel token between slices: an injected delay must never hold a
 /// drain hostage. Cancellation unwinds via the token's normal
 /// [`check`](crate::CancelToken::check) protocol.
 fn cancellable_sleep(ms: u64) {
-    let token = ambient_cancel_token();
+    let token = RunCtx::current().cancel.clone();
     let mut remaining = Duration::from_millis(ms);
     const SLICE: Duration = Duration::from_millis(50);
     while !remaining.is_zero() {
@@ -113,20 +114,20 @@ fn cancellable_sleep(ms: u64) {
 }
 
 /// Apply any configured injection for (`label`, `index`): cancel the
-/// ambient token first (cancel injection), then sleep (slow-job
+/// context's token first (cancel injection), then sleep (slow-job
 /// injection), then panic (fault injection).
 ///
 /// # Panics
 ///
 /// Panics deliberately when `MEMBW_FAULT_INJECT` selects this job; the
 /// engine's catch_unwind turns it into a per-job failure. A
-/// `MEMBW_FAULT_CANCEL` match cancels the ambient token and then
+/// `MEMBW_FAULT_CANCEL` match cancels the context's token and then
 /// unwinds through the normal cancellation poll.
 pub(crate) fn apply(label: &str, index: usize) {
     if let Ok(spec) = std::env::var(FAULT_CANCEL_ENV) {
         for entry in spec.split(',') {
             if selects(entry.trim(), label, index) {
-                ambient_cancel_token().cancel(CancelReason::Interrupted);
+                RunCtx::current().cancel.cancel(CancelReason::Interrupted);
             }
         }
     }
@@ -193,14 +194,17 @@ mod tests {
 
     #[test]
     fn cancellable_sleep_aborts_early_when_cancelled() {
-        use crate::cancel::{with_cancel_token, CancelToken};
+        use crate::cancel::CancelToken;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let token = CancelToken::new();
         token.cancel(CancelReason::Interrupted);
         let t0 = std::time::Instant::now();
-        let unwound = with_cancel_token(token, || {
-            catch_unwind(AssertUnwindSafe(|| cancellable_sleep(10_000))).is_err()
-        });
+        let ctx = RunCtx {
+            cancel: token,
+            ..RunCtx::current().child()
+        };
+        let unwound =
+            ctx.enter(|| catch_unwind(AssertUnwindSafe(|| cancellable_sleep(10_000))).is_err());
         assert!(unwound, "a cancelled sleep must unwind");
         assert!(
             t0.elapsed() < Duration::from_secs(2),

@@ -35,12 +35,15 @@
 //! `--resume`), so an interrupted campaign resumes from completed work
 //! instead of recomputing it — see [`checkpoint`](CheckpointConfig).
 //!
-//! # Choosing the pool width
+//! # Settings
 //!
-//! Priority order: [`with_jobs`] (thread-local override, used by tests),
-//! then [`set_jobs`] (process-wide, set by `repro --jobs N`), then the
-//! `MEMBW_JOBS` environment variable, then
-//! [`std::thread::available_parallelism`].
+//! Thread count, retry budget, job deadline, checkpoint root, cancel
+//! token, memory governor, audit level and analytic mode all live in
+//! one [`RunCtx`]. The process root takes them from the `set_*` calls
+//! (`repro` maps its flags onto them) and, for the thread count, from
+//! the `MEMBW_JOBS` environment variable read once, else
+//! [`std::thread::available_parallelism`]. A caller runs code under a
+//! derived context with [`RunCtx::enter`].
 //!
 //! # Example
 //!
@@ -62,6 +65,7 @@
 
 mod cancel;
 mod checkpoint;
+mod ctx;
 mod failure;
 pub mod faultenv;
 pub mod faultio;
@@ -70,51 +74,25 @@ mod handle;
 mod inject;
 pub mod persist;
 
-pub use cancel::{
-    ambient_cancel_token, global_cancel_token, install_signal_drain, with_cancel_token,
-    CancelReason, CancelToken, CancelUnwind,
-};
+pub use cancel::{install_signal_drain, CancelReason, CancelToken, CancelUnwind};
 pub use checkpoint::{quarantined_artifacts, CheckpointConfig};
+pub use ctx::{metrics, AnalyticMode, AuditLevel, RunCtx, Sink};
 pub use failure::{JobError, JobFailure};
 pub use faultenv::validate_env as validate_fault_env;
 pub use governor::{
-    ambient_governor, global_governor, parse_mem_budget_mb, set_mem_budget, with_governor,
-    AdmissionGuard, Governor, GovernorStats, MEM_BUDGET_MB_ENV,
+    parse_mem_budget_mb, AdmissionGuard, Governor, GovernorStats, MEM_BUDGET_MB_ENV,
 };
 pub use handle::{Dispatcher, JobHandle, JobOutcome, SubmitError};
 pub use inject::{
     validate_selector_spec, validate_slow_spec, FAULT_CANCEL_ENV, FAULT_INJECT_ENV, FAULT_SLOW_ENV,
 };
 
+use ctx::{update_root, Count};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Process-wide override set by `--jobs N` (0 = unset).
-static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
-/// Process-wide retry budget set by `--retries N`.
-static GLOBAL_RETRIES: AtomicUsize = AtomicUsize::new(0);
-/// Process-wide per-job deadline in milliseconds set by
-/// `--job-timeout SECS` (0 = no deadline).
-static GLOBAL_TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide checkpoint configuration set by `repro`.
-static GLOBAL_CHECKPOINT: Mutex<Option<CheckpointConfig>> = Mutex::new(None);
-
-thread_local! {
-    /// Thread-local override installed by [`with_jobs`] (0 = unset).
-    static TL_JOBS: Cell<usize> = const { Cell::new(0) };
-    /// Thread-local override installed by [`with_retries`].
-    static TL_RETRIES: Cell<Option<u32>> = const { Cell::new(None) };
-    /// Thread-local override installed by [`with_job_timeout`]
-    /// (`Some(None)` forces "no deadline" regardless of the global).
-    static TL_TIMEOUT: Cell<Option<Option<Duration>>> = const { Cell::new(None) };
-    /// Thread-local override installed by [`with_checkpoint`].
-    static TL_CHECKPOINT: RefCell<Option<Option<CheckpointConfig>>> =
-        const { RefCell::new(None) };
-}
 
 /// Environment variable naming the default pool width (same meaning as
 /// `repro --jobs N`).
@@ -138,142 +116,46 @@ pub fn parse_jobs(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Set the process-wide job count (e.g. from a `--jobs N` flag).
-///
-/// Values are clamped to at least 1.
+/// Set the root pool width (`--jobs N`), clamped to at least 1.
 pub fn set_jobs(n: usize) {
-    GLOBAL_JOBS.store(n.max(1), Ordering::SeqCst);
+    update_root(|c| c.jobs = n.max(1));
 }
 
-/// Run `f` with the job count forced to `n` on this thread (and the
-/// runners it creates). Restores the previous override afterwards, so
-/// tests can compare `--jobs 1` and `--jobs 8` runs side by side
-/// without touching process state.
-pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let prev = TL_JOBS.with(|c| c.replace(n.max(1)));
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_JOBS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The effective job count for a runner created on this thread.
-pub fn configured_jobs() -> usize {
-    let tl = TL_JOBS.with(Cell::get);
-    if tl > 0 {
-        return tl;
-    }
-    let global = GLOBAL_JOBS.load(Ordering::SeqCst);
-    if global > 0 {
-        return global;
-    }
-    if let Ok(v) = std::env::var(JOBS_ENV) {
-        match parse_jobs(&v) {
-            Ok(n) => return n,
-            // Library-level fallback for embedders that skipped up-front
-            // validation; `repro` rejects the value before this runs.
-            Err(e) => eprintln!("warning: {e}; using the detected parallelism"),
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Set the process-wide per-job retry budget (`--retries N`): a failed
-/// job is re-attempted up to `n` more times before it is reported.
+/// Set the root retry budget (`--retries N`): a failed job is
+/// re-attempted up to `n` more times before it is reported.
 pub fn set_retries(n: u32) {
-    GLOBAL_RETRIES.store(n as usize, Ordering::SeqCst);
+    update_root(|c| c.retries = n);
 }
 
-/// Run `f` with the retry budget forced to `n` on this thread.
-pub fn with_retries<R>(n: u32, f: impl FnOnce() -> R) -> R {
-    let prev = TL_RETRIES.with(|c| c.replace(Some(n)));
-    struct Restore(Option<u32>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_RETRIES.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The effective retry budget for a runner created on this thread.
-pub fn configured_retries() -> u32 {
-    TL_RETRIES
-        .with(Cell::get)
-        .unwrap_or_else(|| GLOBAL_RETRIES.load(Ordering::SeqCst) as u32)
-}
-
-/// Set the process-wide per-job deadline (`--job-timeout SECS`);
-/// `None` disables the watchdog.
+/// Set the root per-job deadline (`--job-timeout SECS`); `None`
+/// disables the watchdog.
 pub fn set_job_timeout(timeout: Option<Duration>) {
-    let ms = timeout.map_or(0, |d| d.as_millis().max(1) as u64);
-    GLOBAL_TIMEOUT_MS.store(ms, Ordering::SeqCst);
+    update_root(|c| c.job_timeout = timeout);
 }
 
-/// Run `f` with the per-job deadline forced to `timeout` on this thread.
-pub fn with_job_timeout<R>(timeout: Option<Duration>, f: impl FnOnce() -> R) -> R {
-    let prev = TL_TIMEOUT.with(|c| c.replace(Some(timeout)));
-    struct Restore(Option<Option<Duration>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_TIMEOUT.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The effective per-job deadline for a runner created on this thread.
-pub fn configured_job_timeout() -> Option<Duration> {
-    if let Some(tl) = TL_TIMEOUT.with(Cell::get) {
-        return tl;
-    }
-    match GLOBAL_TIMEOUT_MS.load(Ordering::SeqCst) {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    }
-}
-
-/// Set the process-wide checkpoint configuration (`repro` points this
-/// at `results/.checkpoint`); `None` disables checkpointing — the
-/// library default, so embedding tests never touch the filesystem.
+/// Set the root checkpoint configuration (`repro` points this at
+/// `results/.checkpoint`); `None` disables checkpointing.
 pub fn set_checkpoint(cfg: Option<CheckpointConfig>) {
-    *GLOBAL_CHECKPOINT.lock().expect("checkpoint config") = cfg;
+    update_root(|c| c.checkpoint = cfg);
 }
 
-/// Run `f` with the checkpoint configuration forced to `cfg` on this
-/// thread (tests use a temp dir without touching process state).
-pub fn with_checkpoint<R>(cfg: Option<CheckpointConfig>, f: impl FnOnce() -> R) -> R {
-    let prev = TL_CHECKPOINT.with(|c| c.replace(Some(cfg)));
-    struct Restore(Option<Option<CheckpointConfig>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_CHECKPOINT.with(|c| {
-                *c.borrow_mut() = self.0.take();
-            });
-        }
-    }
-    let _restore = Restore(prev);
-    f()
+/// Configure the root governor's budget (`--mem-budget MB` /
+/// `MEMBW_MEM_BUDGET_MB`); `None` disables it.
+pub fn set_mem_budget(mb: Option<u64>) {
+    update_root(|c| c.governor.set_budget_mb(mb));
 }
 
-/// The effective checkpoint configuration on this thread.
-pub fn configured_checkpoint() -> Option<CheckpointConfig> {
-    if let Some(tl) = TL_CHECKPOINT.with(|c| c.borrow().clone()) {
-        return tl;
-    }
-    GLOBAL_CHECKPOINT.lock().expect("checkpoint config").clone()
+/// Set the root audit level (`--audit LEVEL`).
+pub fn set_audit_level(level: AuditLevel) {
+    update_root(|c| c.audit = level);
 }
 
-/// Aggregate accounting of the jobs a process has executed, for the
-/// report layer (wall-clock summaries stay on stderr so stdout remains
+/// Set the root analytic mode (`--analytic MODE`).
+pub fn set_analytic_mode(mode: AnalyticMode) {
+    update_root(|c| c.analytic = mode);
+}
+
+/// Accounting of the jobs a [`Sink`] has counted, for the report layer (wall-clock summaries stay on stderr so stdout remains
 /// byte-identical across thread counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Metrics {
@@ -302,27 +184,6 @@ impl Metrics {
     }
 }
 
-static METRIC_BATCHES: AtomicU64 = AtomicU64::new(0);
-static METRIC_JOBS: AtomicU64 = AtomicU64::new(0);
-static METRIC_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-static METRIC_RETRIES: AtomicU64 = AtomicU64::new(0);
-static METRIC_FAILURES: AtomicU64 = AtomicU64::new(0);
-static METRIC_RESUMED: AtomicU64 = AtomicU64::new(0);
-static METRIC_CANCELLED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot the process-wide job metrics.
-pub fn metrics() -> Metrics {
-    Metrics {
-        batches: METRIC_BATCHES.load(Ordering::Relaxed),
-        jobs: METRIC_JOBS.load(Ordering::Relaxed),
-        busy_nanos: METRIC_BUSY_NANOS.load(Ordering::Relaxed),
-        retries: METRIC_RETRIES.load(Ordering::Relaxed),
-        failures: METRIC_FAILURES.load(Ordering::Relaxed),
-        resumed: METRIC_RESUMED.load(Ordering::Relaxed),
-        cancelled: METRIC_CANCELLED.load(Ordering::Relaxed),
-    }
-}
-
 /// Difference between two [`metrics`] snapshots (`later - earlier`),
 /// the per-target accounting `repro` prints.
 pub fn metrics_delta(earlier: Metrics, later: Metrics) -> Metrics {
@@ -337,51 +198,29 @@ pub fn metrics_delta(earlier: Metrics, later: Metrics) -> Metrics {
     }
 }
 
-/// A fixed-width deterministic job pool.
-#[derive(Debug, Clone, Copy)]
+/// A fixed-width deterministic job pool. It captures the current
+/// [`RunCtx`] when built, takes its retry budget and job deadline from
+/// it, and runs every job under it, whichever thread the job lands on.
+#[derive(Debug, Clone)]
 pub struct Runner {
     threads: usize,
-    retries: u32,
-    timeout: Option<Duration>,
+    ctx: Arc<RunCtx>,
 }
 
 impl Default for Runner {
+    /// A runner as wide as the current context's `jobs`.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(RunCtx::current().jobs)
     }
 }
 
 impl Runner {
-    /// A runner with an explicit thread count (clamped to at least 1),
-    /// no retries, and no job deadline.
+    /// A runner with an explicit thread count (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            retries: 0,
-            timeout: None,
+            ctx: RunCtx::current(),
         }
-    }
-
-    /// A runner honouring the thread-local / process-wide / environment
-    /// configuration for thread count, retry budget, and job deadline.
-    pub fn from_env() -> Self {
-        Self {
-            threads: configured_jobs().max(1),
-            retries: configured_retries(),
-            timeout: configured_job_timeout(),
-        }
-    }
-
-    /// This runner with a per-job retry budget.
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = n;
-        self
-    }
-
-    /// This runner with a per-job deadline.
-    pub fn timeout(mut self, d: Option<Duration>) -> Self {
-        self.timeout = d;
-        self
     }
 
     /// The pool width.
@@ -410,33 +249,33 @@ impl Runner {
         if n == 0 {
             return Vec::new();
         }
-        METRIC_BATCHES.fetch_add(1, Ordering::Relaxed);
-        METRIC_JOBS.fetch_add(n as u64, Ordering::Relaxed);
+        let sink = &self.ctx.sink;
+        sink.add(Count::Batches, 1);
+        sink.add(Count::Jobs, n as u64);
+        let timed = |i: usize| {
+            let t0 = Instant::now();
+            let v = f(i);
+            sink.add(Count::BusyNanos, t0.elapsed().as_nanos() as u64);
+            v
+        };
         let workers = self.threads.min(n);
         if workers <= 1 {
-            return (0..n)
-                .map(|i| {
-                    let t0 = Instant::now();
-                    let v = f(i);
-                    METRIC_BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    v
-                })
-                .collect();
+            return self.enter(|| (0..n).map(timed).collect());
         }
 
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let v = f(i);
-                    METRIC_BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    *slots[i].lock().expect("job slot poisoned") = Some(v);
+                scope.spawn(|| {
+                    self.enter(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let v = timed(i);
+                        *slots[i].lock().expect("job slot poisoned") = Some(v);
+                    })
                 });
             }
         });
@@ -466,8 +305,8 @@ impl Runner {
     }
 
     /// [`Runner::try_run`] with matrix checkpointing: every completed
-    /// job result is archived under the configured checkpoint root
-    /// ([`set_checkpoint`] / [`with_checkpoint`]), and — when resuming —
+    /// job result is archived under the context's checkpoint root
+    /// ([`RunCtx::checkpoint`], [`set_checkpoint`]), and — when resuming —
     /// jobs whose results are already archived are replayed instead of
     /// recomputed.
     ///
@@ -486,8 +325,11 @@ impl Runner {
         T: Send + Serialize + Deserialize,
         F: Fn(usize) -> T + Sync,
     {
-        let store =
-            configured_checkpoint().and_then(|cfg| checkpoint::Store::open(&cfg, label, key, n));
+        let store = self
+            .ctx
+            .checkpoint
+            .as_ref()
+            .and_then(|cfg| checkpoint::Store::open(cfg, label, key, n));
         match store {
             Some(store) => self.exec(label, Some(&JsonCkpt { store }), n, f),
             None => self.exec(label, None::<&NoCkpt>, n, f),
@@ -511,26 +353,22 @@ impl Runner {
         if n == 0 {
             return Vec::new();
         }
-        METRIC_BATCHES.fetch_add(1, Ordering::Relaxed);
-        let attempts_allowed = self.retries + 1;
-        // Capture the ambient cancellation/governance context on the
-        // *calling* thread (where `with_cancel_token`/`with_governor`
-        // overrides live) and re-install it inside every worker and
-        // watchdog thread below, so jobs always see the right one.
-        let cancel = ambient_cancel_token();
-        let gov = ambient_governor();
+        let sink = &self.ctx.sink;
+        let cancel = &self.ctx.cancel;
+        sink.add(Count::Batches, 1);
+        let attempts_allowed = self.ctx.retries + 1;
 
         // One attempt, panic-isolated; the caller decides about retries.
         // A cancellation unwind (the token's private payload) is kept
         // distinct from a genuine panic.
         let attempt_inline = |i: usize| -> Result<T, JobError> {
-            METRIC_JOBS.fetch_add(1, Ordering::Relaxed);
+            sink.add(Count::Jobs, 1);
             let t0 = Instant::now();
             let out = catch_unwind(AssertUnwindSafe(|| {
                 inject::apply(label, i);
                 f(i)
             }));
-            METRIC_BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            sink.add(Count::BusyNanos, t0.elapsed().as_nanos() as u64);
             out.map_err(|p| match p.downcast_ref::<CancelUnwind>() {
                 Some(cu) => JobError::Cancelled(cu.0),
                 None => JobError::Panicked(failure::panic_message(p.as_ref())),
@@ -545,7 +383,7 @@ impl Runner {
             // fast (attempts = 0 — they never started) so the batch
             // returns within a poll interval of the request.
             if let Some(reason) = cancel.cancel_reason() {
-                METRIC_CANCELLED.fetch_add(1, Ordering::Relaxed);
+                sink.add(Count::Cancelled, 1);
                 return Err(JobFailure {
                     index: i,
                     attempts: 0,
@@ -554,18 +392,18 @@ impl Runner {
             }
             if let Some(c) = ckpt {
                 if let Some(v) = c.load(i) {
-                    METRIC_RESUMED.fetch_add(1, Ordering::Relaxed);
+                    sink.add(Count::Resumed, 1);
                     return Ok(v);
                 }
             }
             // Memory-governor gate: under the Throttled level this
             // serializes job admission (resumed jobs above skip it —
             // replaying a checkpoint costs no working set).
-            let _slot = gov.admit(&cancel);
+            let _slot = self.ctx.governor.admit(cancel);
             let mut attempts = 0;
             loop {
                 if attempts > 0 {
-                    METRIC_RETRIES.fetch_add(1, Ordering::Relaxed);
+                    sink.add(Count::Retries, 1);
                 }
                 attempts += 1;
                 match attempt(i) {
@@ -586,9 +424,9 @@ impl Runner {
                         let retryable = matches!(e, JobError::Panicked(_));
                         if !retryable || attempts >= attempts_allowed {
                             if matches!(e, JobError::Cancelled(_)) {
-                                METRIC_CANCELLED.fetch_add(1, Ordering::Relaxed);
+                                sink.add(Count::Cancelled, 1);
                             } else {
-                                METRIC_FAILURES.fetch_add(1, Ordering::Relaxed);
+                                sink.add(Count::Failures, 1);
                             }
                             return Err(JobFailure {
                                 index: i,
@@ -602,11 +440,10 @@ impl Runner {
         };
 
         let workers = self.threads.min(n);
-        if workers <= 1 && self.timeout.is_none() {
+        if workers <= 1 && self.ctx.job_timeout.is_none() {
             // Serial baseline: no threads at all (also keeps `--jobs 1`
-            // runnable on targets where spawning is undesirable). The
-            // caller's thread already carries the ambient context.
-            return (0..n).map(|i| run_job(i, &attempt_inline)).collect();
+            // runnable on targets where spawning is undesirable).
+            return self.enter(|| (0..n).map(|i| run_job(i, &attempt_inline)).collect());
         }
 
         let cursor = AtomicUsize::new(0);
@@ -614,44 +451,31 @@ impl Runner {
             (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             let worker = || {
-                // Workers are fresh threads: re-install the captured
-                // ambient context so the jobs' own polls (sim loops,
-                // trace recording) and cache lookups see it.
-                let wc = cancel.clone();
-                let wg = std::sync::Arc::clone(&gov);
-                with_cancel_token(wc, || {
-                    with_governor(wg, || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let result = match self.timeout {
-                            None => run_job(i, &attempt_inline),
-                            Some(deadline) => run_job(i, &|i| {
-                                // Watchdog: run the attempt on its own
-                                // scoped thread and stop waiting at the
-                                // deadline. A timed-out attempt keeps
-                                // running (std threads cannot be killed)
-                                // but its result is dropped with the
-                                // receiver; the scope joins it before
-                                // the batch returns.
-                                let (tx, rx) = mpsc::channel();
-                                let ac = cancel.clone();
-                                let ag = std::sync::Arc::clone(&gov);
-                                scope.spawn(move || {
-                                    let r = with_cancel_token(ac, || {
-                                        with_governor(ag, || attempt_inline(i))
-                                    });
-                                    let _ = tx.send(r);
-                                });
-                                match rx.recv_timeout(deadline) {
-                                    Ok(r) => r,
-                                    Err(_) => Err(JobError::TimedOut(deadline)),
-                                }
-                            }),
-                        };
-                        *slots[i].lock().expect("job slot poisoned") = Some(result);
-                    })
+                self.enter(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = match self.ctx.job_timeout {
+                        None => run_job(i, &attempt_inline),
+                        Some(deadline) => run_job(i, &|i| {
+                            // Watchdog: run the attempt on its own scoped
+                            // thread and stop waiting at the deadline. A
+                            // timed-out attempt keeps running (std threads
+                            // cannot be killed) but its result is dropped
+                            // with the receiver; the scope joins it before
+                            // the batch returns.
+                            let (tx, rx) = mpsc::channel();
+                            scope.spawn(move || {
+                                let _ = tx.send(self.enter(|| attempt_inline(i)));
+                            });
+                            match rx.recv_timeout(deadline) {
+                                Ok(r) => r,
+                                Err(_) => Err(JobError::TimedOut(deadline)),
+                            }
+                        }),
+                    };
+                    *slots[i].lock().expect("job slot poisoned") = Some(result);
                 })
             };
             for _ in 0..workers {
@@ -666,6 +490,11 @@ impl Runner {
                     .expect("every job index was executed")
             })
             .collect()
+    }
+
+    /// Run `f` with this runner's context entered on the calling thread.
+    fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        ctx::enter(Arc::clone(&self.ctx), f)
     }
 
     /// [`Runner::run`] over a slice: `out[i] == f(&items[i])`.
@@ -788,35 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn with_jobs_overrides_and_restores() {
-        let before = configured_jobs();
-        let inside = with_jobs(3, configured_jobs);
-        assert_eq!(inside, 3);
-        assert_eq!(configured_jobs(), before);
-        // Nesting: innermost wins.
-        let nested = with_jobs(2, || with_jobs(5, configured_jobs));
-        assert_eq!(nested, 5);
-    }
-
-    #[test]
-    fn with_retries_and_timeout_override_and_restore() {
-        let r = with_retries(4, configured_retries);
-        assert_eq!(r, 4);
-        let t = with_job_timeout(Some(Duration::from_secs(9)), configured_job_timeout);
-        assert_eq!(t, Some(Duration::from_secs(9)));
-        let t = with_job_timeout(None, configured_job_timeout);
-        assert_eq!(t, None);
-        let c = with_checkpoint(
-            Some(CheckpointConfig {
-                root: "/tmp/x".into(),
-                resume: true,
-            }),
-            configured_checkpoint,
-        );
-        assert_eq!(c.map(|c| c.resume), Some(true));
-    }
-
-    #[test]
     fn map_preserves_item_order() {
         let items: Vec<String> = (0..20).map(|i| format!("w{i}")).collect();
         let out = Runner::new(6).map(&items, |s| s.len());
@@ -867,11 +667,17 @@ mod tests {
     #[test]
     fn retries_rerun_flaky_jobs_deterministically() {
         let calls: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
-        let out = Runner::new(3).retries(2).try_run("flaky", 8, |i| {
-            let call = calls[i].fetch_add(1, Ordering::SeqCst);
-            // Job 5 fails its first two attempts, succeeds on the third.
-            assert!(i != 5 || call >= 2, "flaking");
-            i
+        let out = RunCtx {
+            retries: 2,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(3).try_run("flaky", 8, |i| {
+                let call = calls[i].fetch_add(1, Ordering::SeqCst);
+                // Job 5 fails its first two attempts, succeeds on the third.
+                assert!(i != 5 || call >= 2, "flaking");
+                i
+            })
         });
         assert_eq!(out[5].as_ref().copied(), Ok(5));
         assert_eq!(calls[5].load(Ordering::SeqCst), 3);
@@ -884,9 +690,15 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_reports_attempts() {
-        let out = Runner::new(2).retries(3).try_run("doomed", 4, |i| {
-            assert!(i != 1, "always fails");
-            i
+        let out = RunCtx {
+            retries: 3,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(2).try_run("doomed", 4, |i| {
+                assert!(i != 1, "always fails");
+                i
+            })
         });
         let err = out[1].as_ref().unwrap_err();
         assert_eq!(err.attempts, 4, "1 + 3 retries");
@@ -899,28 +711,36 @@ mod tests {
         // would multiply the stall while the retry budget stays
         // reserved for genuinely transient (panic) failures.
         let calls: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let out = Runner::new(2)
-            .retries(3)
-            .timeout(Some(Duration::from_millis(50)))
-            .try_run("doomed-slow", 4, |i| {
+        let out = RunCtx {
+            retries: 3,
+            job_timeout: Some(Duration::from_millis(50)),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(2).try_run("doomed-slow", 4, |i| {
                 calls[i].fetch_add(1, Ordering::SeqCst);
                 if i == 1 {
                     std::thread::sleep(Duration::from_millis(400));
                 }
                 i
-            });
+            })
+        });
         let err = out[1].as_ref().unwrap_err();
         assert!(matches!(err.error, JobError::TimedOut(_)), "{err}");
         assert_eq!(err.attempts, 1, "one attempt, no retries burned");
         assert_eq!(calls[1].load(Ordering::SeqCst), 1, "ran exactly once");
         // Panics, by contrast, still consume the full budget.
-        let out = Runner::new(2)
-            .retries(3)
-            .timeout(Some(Duration::from_millis(200)))
-            .try_run("doomed-panic", 2, |i| {
+        let out = RunCtx {
+            retries: 3,
+            job_timeout: Some(Duration::from_millis(200)),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(2).try_run("doomed-panic", 2, |i| {
                 assert!(i != 1, "always fails");
                 i
-            });
+            })
+        });
         assert_eq!(out[1].as_ref().unwrap_err().attempts, 4, "1 + 3 retries");
     }
 
@@ -929,13 +749,17 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let trigger = token.clone();
-            let out = with_cancel_token(token, || {
+            let out = RunCtx {
+                cancel: token,
+                ..RunCtx::current().child()
+            }
+            .enter(|| {
                 Runner::new(threads).try_run("drain", 16, move |i| {
                     if i == 3 {
                         // Simulate SIGINT landing mid-job; the job's own
                         // poll (here explicit) unwinds it.
                         trigger.cancel(CancelReason::Interrupted);
-                        ambient_cancel_token().check();
+                        RunCtx::current().cancel.check();
                     }
                     i * 2
                 })
@@ -978,17 +802,20 @@ mod tests {
         let token = CancelToken::new();
         let trigger = token.clone();
         let calls = &calls;
-        let out = with_cancel_token(token, || {
-            Runner::new(1)
-                .retries(5)
-                .try_run("cancel-noretry", 2, move |i| {
-                    calls[i].fetch_add(1, Ordering::SeqCst);
-                    if i == 0 {
-                        trigger.cancel(CancelReason::DeadlineExceeded);
-                        ambient_cancel_token().check();
-                    }
-                    i
-                })
+        let out = RunCtx {
+            retries: 5,
+            cancel: token,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(1).try_run("cancel-noretry", 2, move |i| {
+                calls[i].fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    trigger.cancel(CancelReason::DeadlineExceeded);
+                    RunCtx::current().cancel.check();
+                }
+                i
+            })
         });
         let err = out[0].as_ref().unwrap_err();
         assert!(matches!(
@@ -1017,12 +844,20 @@ mod tests {
         });
         let token = CancelToken::new();
         let trigger = token.clone();
-        let first = with_checkpoint(cfg.clone(), || {
-            with_cancel_token(token, || {
+        let first = RunCtx {
+            checkpoint: cfg.clone(),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            RunCtx {
+                cancel: token,
+                ..RunCtx::current().child()
+            }
+            .enter(|| {
                 Runner::new(1).checkpointed("cancel-resume", "v1/cr/8", 8, move |i| {
                     if i == 4 {
                         trigger.cancel(CancelReason::Interrupted);
-                        ambient_cancel_token().check();
+                        RunCtx::current().cancel.check();
                     }
                     i as u64 * 7
                 })
@@ -1033,7 +868,11 @@ mod tests {
         // Resume with a live token: completed jobs replay, cancelled
         // slots recompute.
         let executed = AtomicU32::new(0);
-        let second = with_checkpoint(cfg, || {
+        let second = RunCtx {
+            checkpoint: cfg,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
             Runner::new(1).checkpointed("cancel-resume", "v1/cr/8", 8, |i| {
                 executed.fetch_add(1, Ordering::SeqCst);
                 i as u64 * 7
@@ -1059,7 +898,11 @@ mod tests {
         let before = metrics();
         let token = CancelToken::new();
         token.cancel(CancelReason::Interrupted);
-        let out = with_cancel_token(token, || Runner::new(2).try_run("all-cancelled", 5, |i| i));
+        let out = RunCtx {
+            cancel: token,
+            ..RunCtx::current().child()
+        }
+        .enter(|| Runner::new(2).try_run("all-cancelled", 5, |i| i));
         assert!(out.iter().all(Result::is_err));
         // Every slot reports Cancelled with attempts 0 — none of them
         // count as failures (metrics are process-global and other tests
@@ -1087,12 +930,17 @@ mod tests {
 
     #[test]
     fn deadline_marks_slow_jobs_failed_without_poisoning_siblings() {
-        let r = Runner::new(4).timeout(Some(Duration::from_millis(50)));
-        let out = r.try_run("slowpoke", 8, |i| {
-            if i == 2 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            i
+        let out = RunCtx {
+            job_timeout: Some(Duration::from_millis(50)),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(4).try_run("slowpoke", 8, |i| {
+                if i == 2 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                i
+            })
         });
         let err = out[2].as_ref().unwrap_err();
         assert!(
@@ -1108,12 +956,17 @@ mod tests {
 
     #[test]
     fn deadline_applies_on_a_single_thread_too() {
-        let r = Runner::new(1).timeout(Some(Duration::from_millis(50)));
-        let out = r.try_run("serial-slow", 3, |i| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            i
+        let out = RunCtx {
+            job_timeout: Some(Duration::from_millis(50)),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(1).try_run("serial-slow", 3, |i| {
+                if i == 1 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                i
+            })
         });
         assert!(out[1].is_err());
         assert_eq!(out[0].as_ref().copied(), Ok(0));
@@ -1128,12 +981,18 @@ mod tests {
             root: root.clone(),
             resume: true,
         });
-        let first = with_checkpoint(cfg.clone(), || {
-            Runner::new(4).checkpointed("ckpt-test", "v1/demo/6", 6, |i| i as u64 * 3)
-        });
+        let first = RunCtx {
+            checkpoint: cfg.clone(),
+            ..RunCtx::current().child()
+        }
+        .enter(|| Runner::new(4).checkpointed("ckpt-test", "v1/demo/6", 6, |i| i as u64 * 3));
         assert!(first.iter().all(Result::is_ok));
         // Second run: the closure must never execute — results replay.
-        let second = with_checkpoint(cfg, || {
+        let second = RunCtx {
+            checkpoint: cfg,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
             Runner::new(4).checkpointed("ckpt-test", "v1/demo/6", 6, |i| -> u64 {
                 panic!("job {i} should have been resumed")
             })
@@ -1159,11 +1018,17 @@ mod tests {
                 resume,
             })
         };
-        let _ = with_checkpoint(mk(true), || {
-            Runner::new(2).checkpointed("nr", "v1/nr/4", 4, |i| i as u64)
-        });
+        let _ = RunCtx {
+            checkpoint: mk(true),
+            ..RunCtx::current().child()
+        }
+        .enter(|| Runner::new(2).checkpointed("nr", "v1/nr/4", 4, |i| i as u64));
         let ran = AtomicU32::new(0);
-        let out = with_checkpoint(mk(false), || {
+        let out = RunCtx {
+            checkpoint: mk(false),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
             Runner::new(2).checkpointed("nr", "v1/nr/4", 4, |i| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 i as u64
@@ -1183,7 +1048,11 @@ mod tests {
             root: root.clone(),
             resume: true,
         });
-        let first = with_checkpoint(cfg.clone(), || {
+        let first = RunCtx {
+            checkpoint: cfg.clone(),
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
             Runner::new(2).checkpointed("heal", "v1/heal/4", 4, |i| {
                 assert!(i != 2, "transient outage");
                 i as u64
@@ -1193,7 +1062,11 @@ mod tests {
         // Resume: healthy jobs replay, the failed one re-executes and
         // now succeeds — exactly the interrupted-campaign story.
         let executed = AtomicU32::new(0);
-        let second = with_checkpoint(cfg, || {
+        let second = RunCtx {
+            checkpoint: cfg,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
             Runner::new(2).checkpointed("heal", "v1/heal/4", 4, |i| {
                 executed.fetch_add(1, Ordering::SeqCst);
                 i as u64
@@ -1231,9 +1104,15 @@ mod tests {
     #[test]
     fn failure_metrics_accumulate() {
         let before = metrics();
-        let _ = Runner::new(2).retries(1).try_run("metrics", 6, |i| {
-            assert!(i != 3, "fails twice");
-            i
+        let _ = RunCtx {
+            retries: 1,
+            ..RunCtx::current().child()
+        }
+        .enter(|| {
+            Runner::new(2).try_run("metrics", 6, |i| {
+                assert!(i != 3, "fails twice");
+                i
+            })
         });
         let d = metrics_delta(before, metrics());
         assert!(d.retries >= 1, "retry counted");

@@ -27,10 +27,9 @@
 
 use crate::net::{Listener, Stream};
 use crate::store::ResultStore;
-use membw_core::audit::{self, AuditLevel};
 use membw_core::fastpath::{self, AnalyticRender};
 use membw_core::runner::persist;
-use membw_core::runner::{self, CancelToken, Dispatcher, JobHandle, JobOutcome, SubmitError};
+use membw_core::runner::{CancelToken, Dispatcher, JobHandle, JobOutcome, RunCtx, SubmitError};
 use membw_core::service::{
     error_kind, source, ServeStats, ServiceRequest, ServiceResponse, STATS_TARGET,
 };
@@ -150,12 +149,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server dispatching into `store`. The constructing thread's
-    /// ambient engine configuration (jobs, retries, checkpoint root,
-    /// memory governor) is captured for every request — a request
-    /// behaves exactly like a CLI run configured the same way.
+    /// A server dispatching into `store`. Every request runs under the
+    /// constructing thread's current [`RunCtx`] (jobs, retries,
+    /// checkpoint root, memory governor) — a request behaves exactly
+    /// like a CLI run configured the same way.
     pub fn new(config: ServeConfig, store: ResultStore) -> Self {
-        let dispatcher = Dispatcher::new(config.max_inflight.max(1), config.queue_bound.max(1));
+        let ctx = RunCtx::current();
+        let dispatcher = Dispatcher::new(&ctx, config.max_inflight, config.queue_bound);
         let counters = Counters::default();
         // A garbage generation env is survivable noise (the supervisor
         // always writes a number); count it as generation 0.
@@ -270,9 +270,11 @@ impl Server {
     }
 
     /// The compute job for one admitted request. Runs on a dispatcher
-    /// worker under the request's audit level; persists a successful
-    /// render to the store before anyone is answered, so a crash after
-    /// the reply can never lose an answered result.
+    /// worker under a child context with the request's audit level and
+    /// replies with the jobs counted in that child's own sink, exact
+    /// however many renders are in flight. Persists a successful render
+    /// to the store before anyone is answered, so a crash after the
+    /// reply can never lose an answered result.
     fn make_job(
         &self,
         req: &ServiceRequest,
@@ -290,11 +292,12 @@ impl Server {
             // All three parses were validated before admission.
             let scale = targets::parse_scale(&req.scale).expect("scale validated");
             let sweep = SweepMode::parse(&req.sweep).expect("sweep validated");
-            let level: AuditLevel = req.audit.parse().expect("audit validated");
-            let before = runner::metrics();
-            let result =
-                audit::with_level(level, || targets::render_target(&req.target, scale, sweep));
-            let delta = runner::metrics_delta(before, runner::metrics());
+            let ctx = RunCtx {
+                audit: req.audit.parse().expect("audit validated"),
+                ..RunCtx::current().child()
+            };
+            let result = ctx.enter(|| targets::render_target(&req.target, scale, sweep));
+            let counted = ctx.sink.metrics();
             match result {
                 Ok(rendered) => {
                     counters.simulated.fetch_add(1, Ordering::Relaxed);
@@ -310,8 +313,8 @@ impl Server {
                     Self::ok_response(
                         &req,
                         source::COMPUTED,
-                        delta.jobs,
-                        delta.resumed,
+                        counted.jobs,
+                        counted.resumed,
                         rendered.stdout,
                     )
                 }

@@ -91,7 +91,7 @@ fn child_daemon() {
     // (probe connects would consume accept points and skew the
     // enumeration, so the parent never dials until it means it).
     membw_serve::net::write_pidfile(&endpoint).expect("pidfile");
-    let cancel = membw_core::runner::global_cancel_token();
+    let cancel = membw_core::runner::CancelToken::global();
     membw_serve::serve(&server, listener, &cancel).expect("serve loop");
     membw_serve::net::remove_pidfile(&endpoint);
 }

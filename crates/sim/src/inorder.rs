@@ -9,7 +9,7 @@
 use crate::bpred::{BranchPredictor, TwoLevelPredictor};
 use crate::machine::MachineSpec;
 use crate::memsys::MemSystem;
-use membw_runner::{ambient_cancel_token, CancelToken};
+use membw_runner::{CancelToken, RunCtx};
 use membw_trace::uop::NUM_REGS;
 use membw_trace::{OpClass, TraceSink, Uop, Workload};
 
@@ -86,7 +86,7 @@ impl InOrderCore {
             mispredict_penalty: spec.mispredict_penalty,
             finish: 0,
             uops: 0,
-            cancel: ambient_cancel_token(),
+            cancel: RunCtx::current().cancel.clone(),
         }
     }
 

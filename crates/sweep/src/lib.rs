@@ -24,8 +24,8 @@
 //! direct simulation — correctness never depends on the engine's
 //! coverage.
 //!
-//! Sweep state registers with the ambient memory governor and the hot
-//! loop polls the ambient [`membw_runner::CancelToken`], so sweeps
+//! Sweep state registers with the context's memory governor and the hot
+//! loop polls the context's [`membw_runner::CancelToken`], so sweeps
 //! degrade and drain exactly like direct simulation jobs.
 
 mod lru;

@@ -287,7 +287,7 @@ impl LruSweep {
     /// Capacities whose geometry is invalid are skipped exactly like
     /// the direct path omits them (unexpected configuration errors get
     /// a stderr diagnostic). The level arrays are reported to the
-    /// ambient memory governor as arena bytes.
+    /// context's memory governor as arena bytes.
     ///
     /// # Errors
     ///
@@ -304,7 +304,9 @@ impl LruSweep {
             }
         }
         let total: u64 = levels.iter().map(|(_, l)| l.bytes()).sum();
-        membw_runner::ambient_governor().observe_arena_bytes(total);
+        membw_runner::RunCtx::current()
+            .governor
+            .observe_arena_bytes(total);
         Ok(Self {
             spec: *spec,
             split: BlockSplit::new(spec.block_size),
@@ -338,7 +340,7 @@ impl LruSweep {
     /// update every level, flush, and return one `Option<CacheStats>`
     /// per requested capacity (`None` = geometry invalid, omitted).
     pub fn run(mut self, refs: &[MemRef]) -> Vec<Option<CacheStats>> {
-        let cancel = membw_runner::ambient_cancel_token();
+        let cancel = membw_runner::RunCtx::current().cancel.clone();
         let split = self.split;
         for (i, &r) in refs.iter().enumerate() {
             if i % CANCEL_POLL == 0 {

@@ -34,7 +34,7 @@ use crate::record::{AccessKind, MemRef};
 use crate::sink::TraceSink;
 use crate::uop::{BranchInfo, OpClass, Reg, Uop};
 use crate::Workload;
-use membw_runner::{ambient_cancel_token, ambient_governor, CancelToken};
+use membw_runner::{CancelToken, RunCtx};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -282,9 +282,9 @@ impl Workload for RecordedTrace {
     }
 
     fn generate(&self, sink: &mut dyn TraceSink) {
-        // Poll the ambient cancel token so replay into sinks that do
+        // Poll the context's cancel token so replay into sinks that do
         // not poll themselves still stops promptly under a drain.
-        let cancel = ambient_cancel_token();
+        let cancel = RunCtx::current().cancel.clone();
         let mut mem_cursor = 0;
         let mut branch_cursor = 0;
         for i in 0..self.meta.len() {
@@ -343,7 +343,7 @@ impl RecordingSink {
                 branch_pc: Vec::new(),
                 checksum: 0,
             },
-            cancel: ambient_cancel_token(),
+            cancel: RunCtx::current().cancel.clone(),
         }
     }
 
@@ -521,7 +521,7 @@ impl TraceCache {
         // cache steps aside entirely (callers record-stream, which is
         // byte-identical); under CacheShrunk the effective byte cap is
         // clamped below the configured budget.
-        let gov = ambient_governor();
+        let gov = RunCtx::current().governor.clone();
         if gov.streaming() {
             return None;
         }

@@ -5,9 +5,9 @@
 //! assisted simulation against the plain (`--analytic off`) output.
 
 use membw::analytic::ecm::{self, AnalyticMode, TrafficGeometry};
-use membw::audit::{self, AuditLevel};
+use membw::audit::AuditLevel;
 use membw::fastpath;
-use membw::runner;
+use membw::runner::{self, RunCtx};
 use membw::sim::{Experiment, MachineSpec};
 use membw::sweep::SweepMode;
 use membw::targets;
@@ -95,11 +95,12 @@ fn analytic_bound_holds_on_every_fig3_and_fig4_cell() {
     for jobs in [1usize, 8] {
         runner::set_jobs(jobs);
         for target in ["fig3", "fig4"] {
-            let result = ecm::with_mode(AnalyticMode::Assist, || {
-                audit::with_level(AuditLevel::Strict, || {
-                    targets::render_target(target, Scale::Test, SweepMode::Stack)
-                })
-            });
+            let result = RunCtx {
+                audit: AuditLevel::Strict,
+                analytic: AnalyticMode::Assist,
+                ..RunCtx::current().child()
+            }
+            .enter(|| targets::render_target(target, Scale::Test, SweepMode::Stack));
             assert!(
                 result.is_ok(),
                 "analytic-bound violated on {target} at --jobs {jobs}: {:?}",
@@ -115,15 +116,18 @@ fn analytic_bound_holds_on_every_fig3_and_fig4_cell() {
 #[test]
 fn assist_mode_never_changes_simulated_bytes() {
     for target in fastpath::ANALYTIC_TARGETS {
-        let off = ecm::with_mode(AnalyticMode::Off, || {
-            targets::render_target(target, Scale::Test, SweepMode::Stack)
-        })
+        let off = RunCtx {
+            analytic: AnalyticMode::Off,
+            ..RunCtx::current().child()
+        }
+        .enter(|| targets::render_target(target, Scale::Test, SweepMode::Stack))
         .expect("plain render");
-        let assist = ecm::with_mode(AnalyticMode::Assist, || {
-            audit::with_level(AuditLevel::Warn, || {
-                targets::render_target(target, Scale::Test, SweepMode::Stack)
-            })
-        })
+        let assist = RunCtx {
+            audit: AuditLevel::Warn,
+            analytic: AnalyticMode::Assist,
+            ..RunCtx::current().child()
+        }
+        .enter(|| targets::render_target(target, Scale::Test, SweepMode::Stack))
         .expect("assisted render");
         assert_eq!(
             off.stdout, assist.stdout,

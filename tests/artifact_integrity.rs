@@ -4,7 +4,7 @@
 //! at `--jobs 1` and `--jobs 8` alike.
 
 use membw::run_table8;
-use membw::runner::{self, CheckpointConfig};
+use membw::runner::{self, CheckpointConfig, RunCtx};
 use membw::trace::replay::TraceCache;
 use membw::workloads::{suite92, Scale};
 use std::fs;
@@ -13,14 +13,17 @@ use std::path::{Path, PathBuf};
 /// Render table8's full output (JSON archive + stdout table) under the
 /// given thread count and checkpoint root.
 fn table8_output(jobs: usize, ckpt: Option<CheckpointConfig>) -> (String, String) {
-    runner::with_jobs(jobs, || {
-        runner::with_checkpoint(ckpt, || {
-            let (res, table) = run_table8::run(Scale::Test).expect("healthy run");
-            (
-                serde_json::to_string_pretty(&res).expect("serializes"),
-                table.render(),
-            )
-        })
+    RunCtx {
+        jobs,
+        checkpoint: ckpt,
+        ..RunCtx::current().child()
+    }
+    .enter(|| {
+        let (res, table) = run_table8::run(Scale::Test).expect("healthy run");
+        (
+            serde_json::to_string_pretty(&res).expect("serializes"),
+            table.render(),
+        )
     })
 }
 

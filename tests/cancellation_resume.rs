@@ -5,10 +5,7 @@
 //! zero memory budget degrades the run without changing a byte of
 //! output.
 
-use membw::runner::{
-    with_cancel_token, with_checkpoint, with_governor, with_jobs, CancelToken, CheckpointConfig,
-    Governor, FAULT_CANCEL_ENV,
-};
+use membw::runner::{CancelToken, CheckpointConfig, Governor, RunCtx, FAULT_CANCEL_ENV};
 use membw::workloads::Scale;
 use membw::{run_table7, run_table8};
 use std::path::PathBuf;
@@ -68,8 +65,12 @@ impl Drop for TempCheckpoint {
 #[test]
 fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
     let _lock = ENV_LOCK.lock().unwrap();
-    let (_, clean_table) =
-        with_jobs(1, || run_table7::run(Scale::Test)).expect("clean run succeeds");
+    let (_, clean_table) = RunCtx {
+        jobs: 1,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table7::run(Scale::Test))
+    .expect("clean run succeeds");
     let clean = clean_table.render();
 
     for jobs in [1, 8] {
@@ -81,11 +82,13 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
         {
             let _env = EnvGuard::set(FAULT_CANCEL_ENV, "table7:1");
             let token = CancelToken::new();
-            let err = with_cancel_token(token.clone(), || {
-                with_checkpoint(ckpt.config(false), || {
-                    with_jobs(jobs, || run_table7::run(Scale::Test))
-                })
-            })
+            let err = RunCtx {
+                jobs,
+                checkpoint: ckpt.config(false),
+                cancel: token.clone(),
+                ..RunCtx::current().child()
+            }
+            .enter(|| run_table7::run(Scale::Test))
             .expect_err("the cancelled batch must surface an error");
             assert!(token.is_cancelled(), "the injected cancel tripped");
             let failures = err.failed_jobs();
@@ -103,9 +106,12 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
         // Phase 2: resume under a fresh (live) token. Checkpointed jobs
         // replay, drained jobs recompute, and stdout is byte-identical
         // to the run that was never interrupted.
-        let (_, resumed) = with_checkpoint(ckpt.config(true), || {
-            with_jobs(jobs, || run_table7::run(Scale::Test))
-        })
+        let (_, resumed) = RunCtx {
+            jobs,
+            checkpoint: ckpt.config(true),
+            ..RunCtx::current().child()
+        }
+        .enter(|| run_table7::run(Scale::Test))
         .expect("the resumed run completes");
         assert_eq!(
             resumed.render(),
@@ -118,17 +124,24 @@ fn cancelled_run_resumes_byte_identically_at_any_jobs_setting() {
 #[test]
 fn deadline_cancels_with_its_own_reason_and_rerun_is_identical() {
     let _lock = ENV_LOCK.lock().unwrap();
-    let (_, clean_table) =
-        with_jobs(1, || run_table8::run(Scale::Test)).expect("clean run succeeds");
+    let (_, clean_table) = RunCtx {
+        jobs: 1,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table8::run(Scale::Test))
+    .expect("clean run succeeds");
     let clean = clean_table.render();
 
     // An already-expired deadline cancels every job before dispatch.
     let token = CancelToken::new();
     token.set_deadline(Duration::from_nanos(1));
     std::thread::sleep(Duration::from_millis(2));
-    let err = with_cancel_token(token.clone(), || {
-        with_jobs(4, || run_table8::run(Scale::Test))
-    })
+    let err = RunCtx {
+        jobs: 4,
+        cancel: token.clone(),
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table8::run(Scale::Test))
     .expect_err("the expired deadline must cancel the batch");
     assert!(token.is_cancelled());
     let failures = err.failed_jobs();
@@ -146,25 +159,46 @@ fn deadline_cancels_with_its_own_reason_and_rerun_is_identical() {
 
     // Outside the expired token the same target runs clean and
     // byte-identical.
-    let (_, rerun) = with_jobs(4, || run_table8::run(Scale::Test)).expect("rerun completes");
+    let (_, rerun) = RunCtx {
+        jobs: 4,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table8::run(Scale::Test))
+    .expect("rerun completes");
     assert_eq!(rerun.render(), clean);
 }
 
 #[test]
 fn zero_mem_budget_degrades_without_changing_output() {
     let _lock = ENV_LOCK.lock().unwrap();
-    let (_, clean7) = with_jobs(1, || run_table7::run(Scale::Test)).expect("clean table7");
-    let (_, clean8) = with_jobs(1, || run_table8::run(Scale::Test)).expect("clean table8");
+    let (_, clean7) = RunCtx {
+        jobs: 1,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table7::run(Scale::Test))
+    .expect("clean table7");
+    let (_, clean8) = RunCtx {
+        jobs: 1,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table8::run(Scale::Test))
+    .expect("clean table8");
 
     // The strictest possible budget: the governor must walk its ladder
     // (cache shrink -> record-streaming -> throttled admission) instead
     // of exceeding it, and the science must not notice.
     let gov = Arc::new(Governor::with_budget_mb(0));
-    let (t7, t8) = with_governor(Arc::clone(&gov), || {
-        let (_, t7) = with_jobs(8, || run_table7::run(Scale::Test)).expect("budgeted table7");
-        let (_, t8) = with_jobs(8, || run_table8::run(Scale::Test)).expect("budgeted table8");
-        (t7, t8)
-    });
+    let budgeted = RunCtx {
+        jobs: 8,
+        governor: Arc::clone(&gov),
+        ..RunCtx::current().child()
+    };
+    let (_, t7) = budgeted
+        .enter(|| run_table7::run(Scale::Test))
+        .expect("budgeted table7");
+    let (_, t8) = budgeted
+        .enter(|| run_table8::run(Scale::Test))
+        .expect("budgeted table8");
     assert_eq!(t7.render(), clean7.render(), "table7 byte-identical");
     assert_eq!(t8.render(), clean8.render(), "table8 byte-identical");
 

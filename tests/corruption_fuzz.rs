@@ -14,7 +14,7 @@
 //! exactly; the CI fuzz-smoke job runs this same harness.
 
 use membw::analytic::ecm::{self, TrafficGeometry};
-use membw::runner::{with_checkpoint, CheckpointConfig, Runner};
+use membw::runner::{CheckpointConfig, RunCtx, Runner};
 use membw::trace::io::{read_refs, write_refs};
 use membw::trace::pattern::Zipf;
 use membw::trace::replay::TraceCache;
@@ -103,9 +103,11 @@ fn mutated_checkpoint_files_never_panic_and_never_corrupt() {
             .map(|k| (i * 8 + k) as f64 * 0.1 + 1.0 / (k + 1) as f64)
             .collect()
     };
-    let clean: Vec<Vec<f64>> = with_checkpoint(cfg.clone(), || {
-        Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job)
-    })
+    let clean: Vec<Vec<f64>> = RunCtx {
+        checkpoint: cfg.clone(),
+        ..RunCtx::current().child()
+    }
+    .enter(|| Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job))
     .into_iter()
     .map(|r| r.expect("clean run"))
     .collect();
@@ -126,9 +128,11 @@ fn mutated_checkpoint_files_never_panic_and_never_corrupt() {
         let mut bytes = clean_bytes.clone();
         mutate(&mut bytes, &mut rng);
         fs::write(&artifact, &bytes).expect("write mutated artifact");
-        let resumed: Vec<Vec<f64>> = with_checkpoint(cfg.clone(), || {
-            Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job)
-        })
+        let resumed: Vec<Vec<f64>> = RunCtx {
+            checkpoint: cfg.clone(),
+            ..RunCtx::current().child()
+        }
+        .enter(|| Runner::new(1).checkpointed("fuzz", "v1/fuzz/2", 2, job))
         .into_iter()
         .map(|r| r.expect("resume never fails outright"))
         .collect();

@@ -4,7 +4,7 @@
 //! fault at any `--jobs` setting, and the failure is reported as a
 //! typed error naming the job.
 
-use membw::runner::{with_job_timeout, with_jobs};
+use membw::runner::RunCtx;
 use membw::workloads::Scale;
 use membw::{run_table7, run_table8};
 use std::sync::Mutex;
@@ -35,8 +35,12 @@ fn injected_panic_fails_one_job_and_names_it() {
     let _lock = ENV_LOCK.lock().unwrap();
     let _env = EnvGuard::set("MEMBW_FAULT_INJECT", "table7:2");
     for jobs in [1, 8] {
-        let err = with_jobs(jobs, || run_table7::run(Scale::Test))
-            .expect_err("the injected fault must surface");
+        let err = RunCtx {
+            jobs,
+            ..RunCtx::current().child()
+        }
+        .enter(|| run_table7::run(Scale::Test))
+        .expect_err("the injected fault must surface");
         let failures = err.failed_jobs();
         assert_eq!(failures.len(), 1, "exactly the injected job fails");
         let f = &failures[0];
@@ -55,20 +59,33 @@ fn injected_panic_fails_one_job_and_names_it() {
 #[test]
 fn unaffected_batches_render_byte_identically_under_a_fault() {
     let _lock = ENV_LOCK.lock().unwrap();
-    let (_, clean_serial) =
-        with_jobs(1, || run_table8::run(Scale::Test)).expect("clean run succeeds");
+    let (_, clean_serial) = RunCtx {
+        jobs: 1,
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table8::run(Scale::Test))
+    .expect("clean run succeeds");
     let clean = clean_serial.render();
 
     // A fault in table7 must not perturb table8's output in any way,
     // serial or parallel — the injection hooks key on the batch label.
     let _env = EnvGuard::set("MEMBW_FAULT_INJECT", "table7:0");
     assert!(
-        with_jobs(1, || run_table7::run(Scale::Test)).is_err(),
+        RunCtx {
+            jobs: 1,
+            ..RunCtx::current().child()
+        }
+        .enter(|| run_table7::run(Scale::Test))
+        .is_err(),
         "the fault is live"
     );
     for jobs in [1, 8] {
-        let (_, faulted) =
-            with_jobs(jobs, || run_table8::run(Scale::Test)).expect("table8 is healthy");
+        let (_, faulted) = RunCtx {
+            jobs,
+            ..RunCtx::current().child()
+        }
+        .enter(|| run_table8::run(Scale::Test))
+        .expect("table8 is healthy");
         assert_eq!(
             faulted.render(),
             clean,
@@ -83,9 +100,12 @@ fn injected_stall_trips_the_job_deadline() {
     // Job 1 sleeps 1.2 s against a 300 ms deadline; healthy Test-scale
     // jobs finish well inside it.
     let _env = EnvGuard::set("MEMBW_FAULT_SLOW", "table7:1:1200");
-    let err = with_job_timeout(Some(Duration::from_millis(300)), || {
-        with_jobs(4, || run_table7::run(Scale::Test))
-    })
+    let err = RunCtx {
+        jobs: 4,
+        job_timeout: Some(Duration::from_millis(300)),
+        ..RunCtx::current().child()
+    }
+    .enter(|| run_table7::run(Scale::Test))
     .expect_err("the stalled job must be marked failed");
     let failures = err.failed_jobs();
     assert_eq!(failures.len(), 1);

@@ -5,14 +5,18 @@
 //! byte-identical between the two modes, and independent of the job
 //! count — the same contract `repro` advertises for `--jobs`.
 
-use membw::runner::with_jobs;
+use membw::runner::RunCtx;
 use membw::sweep::SweepMode;
 use membw::workloads::Scale;
 use membw::{run_fig4, run_table7, run_table8, run_table9};
 
 /// Render + serialize one suite under a given mode and job count.
 fn observe(mode: SweepMode, jobs: usize, suite: &str) -> String {
-    with_jobs(jobs, || match suite {
+    RunCtx {
+        jobs,
+        ..RunCtx::current().child()
+    }
+    .enter(|| match suite {
         "fig4" => {
             let (panels, tables) = run_fig4::run_with(Scale::Test, mode).expect("fig4");
             let rendered: Vec<String> = tables.iter().map(|t| t.render()).collect();
